@@ -14,7 +14,8 @@
 //!
 //! Every leg carries a `dies/s` throughput figure (`items_per_sec` in
 //! the report), and the mega leg's per-phase wall-time profile (die
-//! draw / fixed lane / word settle / adaptive lanes / dither settle)
+//! draw / fixed lane / word settle / adaptive lanes / dither settle /
+//! fault walk)
 //! is printed and dumped to `PROFILE_fleet.txt` next to the report, so
 //! a single bench run shows where the hot path spends its time.
 //!
@@ -224,12 +225,12 @@ fn shootout_cells() -> Vec<MatrixCell> {
 }
 
 /// The fused study-matrix leg: the 18 shoot-out cells scored two ways
-/// over the same die population — one standalone study per cell (the
-/// pre-matrix shape) vs one fused [`StudyMatrix`] run that draws and
+/// over the same die population — one standalone (one-cell) study per
+/// cell vs one fused [`StudyMatrix`] run that draws and
 /// device-evaluates each (corner, die) once and folds every compatible
 /// cell from the shared lanes. Both legs run serial, so the ratio is a
 /// pure shared-work figure, not a scheduling artifact, and the
-/// per-phase profile (with its `shared draw` counter) is dumped to
+/// per-phase profile (its `draw` and `fault walk` rows) is dumped to
 /// `PROFILE_matrix.txt` so the saving is attributable, not asserted on
 /// faith. Outside quick mode the bench asserts the fused engine's
 /// headline claim: ≥ 2.5× over per-cell.

@@ -26,10 +26,6 @@ fn main() {
     let opts = harness_options(&usage());
     let cfg = &opts.cfg;
 
-    // Built once, serially, before any Monte-Carlo fan-out: every
-    // backend's droop/ripple table is die-independent, so regulated
-    // runs stay bit-identical at any --jobs.
-    let supply = opts.supply.build_sim(opts.study.solver);
     let supply_note = match opts.supply {
         SupplyBackendKind::Ideal => "ideal supply".to_owned(),
         SupplyBackendKind::Buck => match opts.study.solver {
@@ -71,7 +67,8 @@ fn main() {
                 .eval(eval.clone())
                 .spec(spec)
                 .words(fixed_word, 11)
-                .supply(supply.clone())
+                .supply_backend(opts.supply)
+                .solver(opts.study.solver)
                 .exec(*cfg)
                 .run()
         };
@@ -109,7 +106,8 @@ fn main() {
         .eval(eval.clone())
         .spec(spec)
         .words(11, 11)
-        .supply(supply.clone())
+        .supply_backend(opts.supply)
+        .solver(opts.study.solver)
         .exec(*cfg)
         .run_summary();
     let mut big = Table::new(

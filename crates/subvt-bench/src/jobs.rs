@@ -147,7 +147,6 @@ mod tests {
         assert_eq!(opts.supply, SupplyBackendKind::Ideal);
         for (raw, kind) in [
             ("buck", SupplyBackendKind::Buck),
-            ("switched", SupplyBackendKind::Buck),
             ("dldo", SupplyBackendKind::Dldo),
             ("dlr", SupplyBackendKind::Dlr),
         ] {

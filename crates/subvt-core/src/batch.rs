@@ -1,8 +1,8 @@
 //! Structure-of-arrays die scoring: the fleet-scale hot path.
 //!
 //! The scalar path ([`StudyContext::score_die`]) walks one die at a
-//! time through the spec checks and settling loops. This module scores
-//! a whole *sub-batch* of dies per pass instead, holding the per-die
+//! time through the spec checks and settling loops. [`DieBatch`] holds
+//! a whole *sub-batch* of dies instead, holding the per-die
 //! quantities in flat arrays (`Vec<GateMismatch>`, `Vec<Seconds>`, …)
 //! so the common-voltage spec checks run as lanes through
 //! [`subvt_loads::load::CircuitLoad::critical_path_lane`] — one grid
@@ -11,30 +11,29 @@
 //! die-independent energy evaluations happen once per operating point
 //! instead of once per die.
 //!
+//! The phases are driven by the one scoring engine,
+//! `crate::matrix::fold_matrix_chunk`, which every summary and fault
+//! study runs through (a standalone study is a one-cell matrix).
+//!
 //! Bit-identity contract: for every die the batched path performs the
 //! *same arithmetic on the same inputs* as the scalar path — lanes are
 //! pure-function hoists (pinned in `subvt-device`), the shared
-//! [`CachedEval`] is pure memoization, and outcomes are handed to the
+//! `CachedEval` is pure memoization, and outcomes are handed to the
 //! caller in die order — so any sub-batch size, including the ragged
 //! final sub-batch, reproduces the scalar study bit-for-bit. The
 //! property suite in `tests/batch_equivalence.rs` pins this.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::time::Instant;
 
 use subvt_device::delay::GateMismatch;
-use subvt_device::tabulate::{CachedEval, DeviceEval};
+use subvt_device::tabulate::DeviceEval;
 use subvt_device::units::{Joules, Seconds, Volts};
 use subvt_digital::lut::VoltageWord;
 use subvt_exec::chunk_len;
-use subvt_faults::FaultPlan;
 use subvt_rng::{Jump, Rng, StdRng};
 use subvt_tdc::sensor::{word_voltage, SenseError};
 
-use crate::fault_study::{score_faulted_die_with, FaultDieOutcome};
-use crate::profile::{record_phase, record_sub_batch, Phase};
 use crate::yield_study::{DieOutcome, StudyContext, SupplySim};
 
 /// The per-die seed stream in `O(chunks)` memory.
@@ -44,19 +43,12 @@ use crate::yield_study::{DieOutcome, StudyContext, SupplySim};
 /// fleet. The parent generator only ever advances one draw per die,
 /// though, so snapshotting its 32-byte state at every chunk boundary
 /// is enough: a worker clones its chunk's snapshot and re-derives the
-/// chunk's seeds locally, bit-identical to the scalar stream. The
-/// `Flat` arm keeps the materialized form for caller-owned generators
-/// (`run_*_with_rng`), whose concrete type cannot be snapshotted.
-pub(crate) enum ChunkSeeds {
-    /// Parent-state snapshot per chunk boundary (seeded studies).
-    Snapshots {
-        /// The parent's state at the start of each chunk.
-        states: Vec<StdRng>,
-        /// The chunk length the snapshots were taken at.
-        chunk: usize,
-    },
-    /// The materialized per-die stream (external-generator studies).
-    Flat(Vec<u64>),
+/// chunk's seeds locally, bit-identical to the scalar stream.
+pub(crate) struct ChunkSeeds {
+    /// The parent's state at the start of each chunk.
+    states: Vec<StdRng>,
+    /// The chunk length the snapshots were taken at.
+    chunk: usize,
 }
 
 impl ChunkSeeds {
@@ -78,33 +70,24 @@ impl ChunkSeeds {
             states.push(parent.clone());
             jump.apply(&mut parent);
         }
-        ChunkSeeds::Snapshots { states, chunk }
+        ChunkSeeds { states, chunk }
     }
 
-    /// The seeds of one chunk-aligned `range` of dies. `Snapshots`
-    /// re-derives them from the boundary state (a small, transient
-    /// per-worker vector); `Flat` borrows.
-    pub(crate) fn for_range(&self, range: Range<usize>) -> Cow<'_, [u64]> {
-        match self {
-            ChunkSeeds::Flat(seeds) => Cow::Borrowed(&seeds[range]),
-            ChunkSeeds::Snapshots { states, chunk } => {
-                debug_assert_eq!(range.start % chunk, 0, "range must be chunk-aligned");
-                let mut rng = states[range.start / chunk].clone();
-                // One reused label buffer instead of a heap allocation
-                // per die — the label bytes (and so the seeds) are
-                // unchanged.
-                let mut label = String::with_capacity(24);
-                Cow::Owned(
-                    range
-                        .map(|i| {
-                            label.clear();
-                            write!(label, "die-{i}").expect("in-memory write");
-                            rng.fork_seed(&label)
-                        })
-                        .collect(),
-                )
-            }
-        }
+    /// The seeds of one chunk-aligned `range` of dies, re-derived from
+    /// the boundary state (a small, transient per-worker vector).
+    pub(crate) fn for_range(&self, range: Range<usize>) -> Vec<u64> {
+        debug_assert_eq!(range.start % self.chunk, 0, "range must be chunk-aligned");
+        let mut rng = self.states[range.start / self.chunk].clone();
+        // One reused label buffer instead of a heap allocation per die
+        // — the label bytes (and so the seeds) are unchanged.
+        let mut label = String::with_capacity(24);
+        range
+            .map(|i| {
+                label.clear();
+                write!(label, "die-{i}").expect("in-memory write");
+                rng.fork_seed(&label)
+            })
+            .collect()
     }
 }
 
@@ -165,12 +148,11 @@ fn lane_passes(
 /// bounded by the sub-batch size, so a million-die study's working set
 /// stays `O(jobs × batch)`, never `O(dies)`.
 ///
-/// The phases are individually callable so the matrix path
+/// The phases are individually callable so the matrix engine
 /// ([`crate::matrix`]) can run the shared ones (draw, word settle,
 /// dither walk) once per corner group and the supply-dependent tails
 /// (fixed lane, adaptive lanes, dithered check) once per cell group,
-/// against the same lanes. [`DieBatch::score`] composes them in the
-/// original order for the single-cell path.
+/// against the same lanes.
 pub(crate) struct DieBatch {
     corner_units: Vec<f64>,
     mismatches: Vec<GateMismatch>,
@@ -238,33 +220,6 @@ impl DieBatch {
         self.adaptive_energy.resize(n, Joules(0.0));
         self.dithered_pass.clear();
         self.dithered_pass.resize(n, false);
-    }
-
-    /// Scores the dies of `seeds` through the phased SoA pipeline,
-    /// sharing `cached` (pure memoization) across the sub-batch.
-    fn score(&mut self, ctx: &StudyContext<'_>, cached: &CachedEval<'_>, seeds: &[u64]) {
-        record_sub_batch();
-
-        let t0 = Instant::now();
-        self.draw(ctx, seeds);
-        record_phase(Phase::Draw, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.fixed_lane(ctx, cached);
-        record_phase(Phase::Fixed, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.settle_words(ctx);
-        record_phase(Phase::SettleWord, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.adaptive_lanes(ctx, cached);
-        record_phase(Phase::AdaptiveLanes, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.dither_walk(ctx);
-        self.dither_check(ctx, cached);
-        record_phase(Phase::Dither, t0.elapsed().as_nanos() as u64);
     }
 
     /// Dies currently held in the scratch lanes.
@@ -498,57 +453,6 @@ impl DieBatch {
     }
 }
 
-/// Scores one chunk's dies (`seeds`, whose first die has population
-/// index `first_die`) in sub-batches of `batch`, handing each
-/// [`DieOutcome`] to `sink` in die order — the fold kernel of the
-/// batched summary path. Scratch is reused across sub-batches; nothing
-/// scales with the population size.
-pub(crate) fn fold_dies(
-    ctx: &StudyContext<'_>,
-    seeds: &[u64],
-    first_die: usize,
-    batch: usize,
-    mut sink: impl FnMut(usize, &DieOutcome),
-) {
-    let batch = batch.max(1);
-    let mut scratch = DieBatch::with_capacity(batch.min(seeds.len().max(1)));
-    let mut lo = 0;
-    while lo < seeds.len() {
-        let hi = (lo + batch).min(seeds.len());
-        let cached = CachedEval::new(ctx.eval.as_ref());
-        scratch.score(ctx, &cached, &seeds[lo..hi]);
-        for k in 0..(hi - lo) {
-            sink(first_die + lo + k, &scratch.outcome(k));
-        }
-        lo = hi;
-    }
-}
-
-/// The fault-study counterpart of [`fold_dies`]: the faulted
-/// compensation walk is cycle-by-cycle per die, so the batch win is
-/// the shared operating-point memo, not lanes. Outcomes stream to
-/// `sink` in die order.
-pub(crate) fn fold_faulted_dies(
-    ctx: &StudyContext<'_>,
-    plan: FaultPlan,
-    seeds: &[u64],
-    first_die: usize,
-    batch: usize,
-    mut sink: impl FnMut(usize, &FaultDieOutcome),
-) {
-    let batch = batch.max(1);
-    let mut lo = 0;
-    while lo < seeds.len() {
-        let hi = (lo + batch).min(seeds.len());
-        let cached = CachedEval::new(ctx.eval.as_ref());
-        for (k, &seed) in seeds.iter().enumerate().take(hi).skip(lo) {
-            let die = score_faulted_die_with(ctx, plan, StdRng::seed_from_u64(seed), &cached);
-            sink(first_die + k, &die);
-        }
-        lo = hi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,12 +486,9 @@ mod tests {
         let dies = chunk * CHUNKS;
         assert_eq!(chunk_len(dies), chunk, "fixture: chunk_len saturated");
         let seeds = ChunkSeeds::from_seed(2009, dies);
-        let ChunkSeeds::Snapshots { states, chunk: c } = &seeds else {
-            panic!("from_seed must snapshot");
-        };
-        assert_eq!((*c, states.len()), (chunk, CHUNKS));
+        assert_eq!((seeds.chunk, seeds.states.len()), (chunk, CHUNKS));
         let serial = serial_boundary_states(2009, dies, chunk);
-        for (i, (jumped, walked)) in states.iter().zip(&serial).enumerate() {
+        for (i, (jumped, walked)) in seeds.states.iter().zip(&serial).enumerate() {
             assert_eq!(jumped.state(), *walked, "boundary state of chunk {i}");
         }
         // And the re-derived per-die seeds of a far chunk are the
@@ -603,17 +504,15 @@ mod tests {
                 parent.fork_seed(&label)
             })
             .collect();
-        assert_eq!(seeds.for_range(last).as_ref(), &want[..]);
+        assert_eq!(seeds.for_range(last), want);
     }
 
     #[test]
     fn chunk_boundary_states_are_pairwise_distinct() {
         const CHUNKS: usize = 10_000;
         let dies = 2048 * CHUNKS;
-        let ChunkSeeds::Snapshots { states, .. } = ChunkSeeds::from_seed(42, dies) else {
-            panic!("from_seed must snapshot");
-        };
-        let distinct: HashSet<[u64; 4]> = states.iter().map(|s| s.state()).collect();
+        let seeds = ChunkSeeds::from_seed(42, dies);
+        let distinct: HashSet<[u64; 4]> = seeds.states.iter().map(|s| s.state()).collect();
         assert_eq!(
             distinct.len(),
             CHUNKS,

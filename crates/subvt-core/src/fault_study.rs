@@ -268,21 +268,9 @@ pub(crate) fn fault_droops(ctx: &StudyContext<'_>) -> (Volts, Volts) {
 pub(crate) fn score_faulted_die(
     ctx: &StudyContext<'_>,
     plan: FaultPlan,
-    die_rng: StdRng,
-) -> FaultDieOutcome {
-    let cached = CachedEval::new(ctx.eval.as_ref());
-    score_faulted_die_with(ctx, plan, die_rng, &cached)
-}
-
-/// [`score_faulted_die`] through a caller-owned evaluator, so the
-/// batched path can share one operating-point memo across a sub-batch
-/// of dies. Memoization is pure: sharing cannot change a single bit.
-pub(crate) fn score_faulted_die_with(
-    ctx: &StudyContext<'_>,
-    plan: FaultPlan,
     mut die_rng: StdRng,
-    cached: &dyn DeviceEval,
 ) -> FaultDieOutcome {
+    let cached = &CachedEval::new(ctx.eval.as_ref());
     let die = ctx.variation.sample_die(&mut die_rng);
     let mismatch = die.mean_gate();
     // Fork the fault stream only after the die sample: a clean die
@@ -318,7 +306,7 @@ enum Capture {
 
 /// The cycle-by-cycle faulted compensation walk over precomputed clean
 /// reference pieces — the fault-stream-dependent tail of
-/// [`score_faulted_die_with`], with identical arithmetic. `droops` must
+/// [`score_faulted_die`], with identical arithmetic. `droops` must
 /// be [`fault_droops`] of the same context (hoisted by the matrix
 /// path).
 pub(crate) fn faulted_walk(

@@ -55,7 +55,6 @@ pub mod matrix;
 pub mod overhead;
 pub mod profile;
 pub mod rate_controller;
-pub mod shared_rail;
 pub mod study;
 pub mod transient;
 pub mod watchdog;
@@ -80,7 +79,6 @@ pub use matrix::{CellSummary, MatrixCell, StudyMatrix};
 pub use overhead::{overhead_per_cycle, ControllerInventory, NetSavings, OverheadBreakdown};
 pub use profile::PhaseProfile;
 pub use rate_controller::{DesignError, LutCheckpoint, RateController};
-pub use shared_rail::{compare_shared_rail, RailClient, RailComparison};
 pub use study::{
     ArgError, FaultPlan, StudyArgs, StudyConfig, StudyError, SupplyBackendKind, DEFAULT_BATCH,
     STUDY_HELP,

@@ -19,20 +19,25 @@
 //! * **once per fault cell** — only the cycle-by-cycle faulted walk
 //!   and the final scoring, over the shared clean pieces.
 //!
-//! **Byte-identity contract:** every cell's accumulator — the exact
-//! [`CellSummary::encode_state`] bytes — equals running that cell alone
-//! through [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`].
-//! The shared phases are the pure-function hoists the batch-equivalence
-//! suite already pins lane-vs-scalar; the fault-stream seeds are
-//! replayed per die exactly as the standalone path forks them; and no
-//! cell's RNG, sense sequence or fault schedule can observe that other
-//! cells exist. `tests/matrix_equivalence.rs` pins all of it across
-//! worker counts, batch sizes, backends and fault rates.
+//! This is the one scoring engine: a standalone
+//! [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`] runs as a
+//! one-cell matrix through the same crate-private `run_cells`.
 //!
-//! With [`StudyConfig::checkpoint`] armed, the matrix commits one
-//! version-2 record per chunk — the per-cell states side by side — so a
-//! killed 18-cell run resumes all cells bit-identically from one file,
-//! at any `--jobs`/`--batch` (see `subvt_exec::checkpoint`).
+//! **Byte-identity contract:** every cell's accumulator — the exact
+//! [`CellSummary::encode_state`] bytes — equals running that cell alone,
+//! and its yield aggregate equals the scalar per-die reference
+//! [`StudyConfig::run`]`().summarize()`. The shared phases are the
+//! pure-function hoists the batch-equivalence suite pins
+//! lane-vs-scalar; the fault-stream seeds are replayed per die exactly
+//! as the scalar path forks them; and no cell's RNG, sense sequence or
+//! fault schedule can observe that other cells exist.
+//! `tests/matrix_equivalence.rs` pins all of it across worker counts,
+//! batch sizes, backends and fault rates.
+//!
+//! With [`StudyConfig::checkpoint`] armed, the engine commits one
+//! record per chunk — the per-cell states side by side — so a killed
+//! 18-cell run resumes all cells bit-identically from one file, at any
+//! `--jobs`/`--batch` (see `subvt_exec::checkpoint`).
 
 use std::time::Instant;
 
@@ -82,8 +87,8 @@ impl MatrixCell {
     }
 }
 
-/// One cell's result: the same aggregate the standalone terminal of
-/// that cell kind returns, bit-for-bit.
+/// One cell's result: the aggregate the standalone terminal of that
+/// cell kind returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellSummary {
     /// A summary cell's aggregate ([`StudyConfig::run_summary`]).
@@ -124,9 +129,9 @@ impl CellSummary {
 
     /// The cell's accumulator state — untagged, so the bytes are
     /// exactly [`YieldSummary::encode_state`] /
-    /// [`FaultStudySummary::encode_state`] of the standalone run. This
-    /// is the canonical equality witness of the matrix contract (and
-    /// the per-cell payload of a version-2 checkpoint record).
+    /// [`FaultStudySummary::encode_state`]. This is the canonical
+    /// equality witness of the matrix contract (and the per-cell
+    /// payload of a checkpoint record).
     pub fn encode_state(&self) -> Vec<u8> {
         match self {
             CellSummary::Yield(s) => s.encode_state(),
@@ -207,7 +212,7 @@ impl MatrixGroups {
 /// The fused per-chunk fold: one shared draw, then every cell scored
 /// against the same lanes, sub-batch by sub-batch. Each cell's
 /// accumulator absorbs its dies in die order, so the per-cell
-/// fold/merge sequence is exactly the standalone terminal's.
+/// fold/merge sequence is exactly the scalar reference's.
 #[allow(clippy::too_many_arguments)] // crate-internal fold kernel
 fn fold_matrix_chunk(
     cells: &[MatrixCell],
@@ -230,9 +235,9 @@ fn fold_matrix_chunk(
 
         // Shared draw: the SoA die lanes once for every cell, plus the
         // per-die fault-stream seeds. The scalar replay advances each
-        // die stream exactly as the standalone path does (sample, then
+        // die stream exactly as the scalar path does (sample, then
         // fork), so `seed_from_u64(fault_seeds[k])` *is* the stream
-        // `die_rng.fork("faults")` hands the standalone walk.
+        // `die_rng.fork("faults")` hands the scalar walk.
         let t0 = Instant::now();
         scratch.draw(&ctxs[0], sub);
         if any_faults {
@@ -243,7 +248,7 @@ fn fold_matrix_chunk(
                 fault_seeds.push(die_rng.fork_seed("faults"));
             }
         }
-        record_phase(Phase::SharedDraw, t0.elapsed().as_nanos() as u64);
+        record_phase(Phase::Draw, t0.elapsed().as_nanos() as u64);
 
         for corner in &groups.corners {
             let cctx = &ctxs[corner.lead];
@@ -258,8 +263,7 @@ fn fold_matrix_chunk(
                 let sctx = &ctxs[group.lead];
                 // One operating-point memo per group per sub-batch:
                 // pure memoization shared by the group's lanes and
-                // fault walks, exactly as each standalone sub-batch
-                // owns one.
+                // fault walks.
                 let cached = CachedEval::new(sctx.eval.as_ref());
                 let t0 = Instant::now();
                 scratch.fixed_lane(sctx, &cached);
@@ -380,62 +384,11 @@ impl<'a> StudyMatrix<'a> {
         &self.base
     }
 
-    /// The matrix identity hashed into a version-2 checkpoint
-    /// fingerprint: the cell count plus each cell's *standalone*
-    /// identity string (the exact text that cell's own checkpoint
-    /// would hash), so the per-cell identity cannot drift from the
-    /// single-cell path.
+    /// The matrix identity hashed into the checkpoint fingerprint: the
+    /// cell count plus each cell's identity string
+    /// ([`StudyConfig::fingerprint_text`] of that cell run alone).
     pub fn fingerprint_text(&self) -> String {
-        let mut text = format!("subvt-matrix-v1 cells={}", self.cells.len());
-        for cell in &self.cells {
-            text.push('\n');
-            text.push_str(&self.base.fingerprint_text_with(
-                cell.kind(),
-                cell.supply.label(),
-                cell.env,
-                cell.faults,
-            ));
-        }
-        text
-    }
-
-    /// Opens (or creates) the configured checkpoint file in the matrix
-    /// (version 2) format, returning the resume point.
-    fn open_checkpoint(
-        &self,
-    ) -> Result<(usize, Vec<CellSummary>, Option<MatrixCheckpointWriter>), StudyError> {
-        let empty = || self.cells.iter().map(CellSummary::empty_for).collect();
-        let Some(path) = &self.base.checkpoint else {
-            return Ok((0, empty(), None));
-        };
-        let fingerprint = fingerprint_of(&self.fingerprint_text());
-        let total = self.base.dies as u64;
-        let cells = u32::try_from(self.cells.len())
-            .map_err(|_| StudyError::Checkpoint(CheckpointError::Decode("too many cells")))?;
-        if !path.exists() {
-            let writer = MatrixCheckpointWriter::create(path, fingerprint, total, cells)?;
-            return Ok((0, empty(), Some(writer)));
-        }
-        let (checkpoint, writer) = open_matrix_for_resume(path)?;
-        checkpoint.verify(fingerprint, total, cells)?;
-        match checkpoint.last {
-            None => Ok((0, empty(), Some(writer))),
-            Some(record) => {
-                let start = usize::try_from(record.chunks_done)
-                    .ok()
-                    .filter(|&c| c <= chunk_count(self.base.dies))
-                    .ok_or(StudyError::Checkpoint(CheckpointError::Decode(
-                        "checkpoint is ahead of the population",
-                    )))?;
-                let accs = self
-                    .cells
-                    .iter()
-                    .zip(&record.states)
-                    .map(|(cell, state)| CellSummary::decode_for(cell, state))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((start, accs, Some(writer)))
-            }
-        }
+        fingerprint_text(&self.base, &self.cells)
     }
 
     /// Runs every cell over the shared die stream.
@@ -453,93 +406,149 @@ impl<'a> StudyMatrix<'a> {
     }
 
     /// [`StudyMatrix::run`] with cancellation, progress and
-    /// checkpointing surfaced as values. One version-2 checkpoint
-    /// record — every cell's state, side by side — commits per chunk;
-    /// an interrupted run resumes all cells bit-identically from the
-    /// same file at any worker count or batch size.
+    /// checkpointing surfaced as values. One checkpoint record — every
+    /// cell's state, side by side — commits per chunk; an interrupted
+    /// run resumes all cells bit-identically from the same file at any
+    /// worker count or batch size.
     ///
     /// # Errors
     ///
     /// As [`StudyConfig::try_run_summary`].
     pub fn try_run(&self) -> Result<Vec<CellSummary>, StudyError> {
-        if self.cells.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (start_chunk, start, mut writer) = self.open_checkpoint()?;
-        let eval = self.base.resolved_eval();
-        // Per-cell supply models, hoisted to one *build* per distinct
-        // backend per run — a buck settle table costs milliseconds to
-        // integrate, and six buck cells share one snapshot. Clones
-        // compare equal, so the group builder still sees the sharing.
-        let mut sims: Vec<SupplySim> = Vec::with_capacity(self.cells.len());
-        for cell in &self.cells {
-            let sim = match self.cells[..sims.len()]
-                .iter()
-                .position(|prior| prior.supply == cell.supply)
-            {
-                Some(i) => sims[i].clone(),
-                None => cell.supply.build_sim(self.base.solver),
-            };
-            sims.push(sim);
-        }
-        let ctxs: Vec<StudyContext<'_>> = self
-            .cells
-            .iter()
-            .zip(&sims)
-            .map(|(cell, sim)| {
-                StudyContext::new(
-                    eval.clone(),
-                    self.base.load.as_dyn(),
-                    cell.env,
-                    &self.base.variation,
-                    self.base.spec,
-                    self.base.fixed_word,
-                    self.base.design_word,
-                    sim,
-                )
-            })
-            .collect();
-        // Converter-fault droop figures, hoisted to once per cell.
-        let droops: Vec<(Volts, Volts)> = ctxs.iter().map(fault_droops).collect();
-        let groups = MatrixGroups::build(&self.cells, &sims);
-        let seeds = ChunkSeeds::from_seed(self.base.seed, self.base.dies);
-        let batch = self.base.batch.max(1);
-        let hooks = self.base.hooks();
-        let mut result = try_par_fold_commit_multi(
-            &self.base.exec,
-            self.base.dies,
-            start_chunk,
-            &hooks,
-            self.cells.len(),
-            |cell| CellSummary::empty_for(&self.cells[cell]),
-            start,
-            |accs, range| {
-                let chunk_seeds = seeds.for_range(range);
-                fold_matrix_chunk(
-                    &self.cells,
-                    &ctxs,
-                    &droops,
-                    &groups,
-                    batch,
-                    &chunk_seeds,
-                    accs,
-                );
-            },
-            |_cell, acc, part| acc.merge(part),
-            |chunks_done, accs: &[CellSummary]| match &mut writer {
-                Some(w) => {
-                    let states: Vec<Vec<u8>> = accs.iter().map(CellSummary::encode_state).collect();
-                    w.append(chunks_done as u64, &states)
-                }
-                None => Ok(()),
-            },
-        )
-        .map_err(StudyError::from_fold)?;
-        for acc in &mut result {
-            acc.set_fixed_word(self.base.fixed_word);
-        }
-        Ok(result)
+        run_cells(&self.base, &self.cells)
     }
+}
+
+fn fingerprint_text(base: &StudyConfig<'_>, cells: &[MatrixCell]) -> String {
+    let mut text = format!("subvt-matrix-v1 cells={}", cells.len());
+    for cell in cells {
+        text.push('\n');
+        text.push_str(&base.fingerprint_text_with(
+            cell.kind(),
+            cell.supply.label(),
+            cell.env,
+            cell.faults,
+        ));
+    }
+    text
+}
+
+/// Opens (or creates) `base`'s checkpoint file for `cells`, returning
+/// the resume point.
+fn open_checkpoint(
+    base: &StudyConfig<'_>,
+    cells: &[MatrixCell],
+) -> Result<(usize, Vec<CellSummary>, Option<MatrixCheckpointWriter>), StudyError> {
+    let empty = || cells.iter().map(CellSummary::empty_for).collect();
+    let Some(path) = &base.checkpoint else {
+        return Ok((0, empty(), None));
+    };
+    let fingerprint = fingerprint_of(&fingerprint_text(base, cells));
+    let total = base.dies as u64;
+    let n_cells = u32::try_from(cells.len())
+        .map_err(|_| StudyError::Checkpoint(CheckpointError::Decode("too many cells")))?;
+    if !path.exists() {
+        let writer = MatrixCheckpointWriter::create(path, fingerprint, total, n_cells)?;
+        return Ok((0, empty(), Some(writer)));
+    }
+    let (checkpoint, writer) = open_matrix_for_resume(path)?;
+    checkpoint.verify(fingerprint, total, n_cells)?;
+    match checkpoint.last {
+        None => Ok((0, empty(), Some(writer))),
+        Some(record) => {
+            let start = usize::try_from(record.chunks_done)
+                .ok()
+                .filter(|&c| c <= chunk_count(base.dies))
+                .ok_or(StudyError::Checkpoint(CheckpointError::Decode(
+                    "checkpoint is ahead of the population",
+                )))?;
+            let accs = cells
+                .iter()
+                .zip(&record.states)
+                .map(|(cell, state)| CellSummary::decode_for(cell, state))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((start, accs, Some(writer)))
+        }
+    }
+}
+
+/// Scores `cells` over `base`'s die stream — the one scoring engine
+/// behind [`StudyMatrix::try_run`] and the standalone
+/// [`StudyConfig::try_run_summary`] / [`StudyConfig::try_run_faults`]
+/// (a one-cell matrix). `base`'s own supply/environment/fault axes are
+/// not read; the cells carry them.
+pub(crate) fn run_cells(
+    base: &StudyConfig<'_>,
+    cells: &[MatrixCell],
+) -> Result<Vec<CellSummary>, StudyError> {
+    if cells.is_empty() {
+        return Ok(Vec::new());
+    }
+    let (start_chunk, start, mut writer) = open_checkpoint(base, cells)?;
+    let eval = base.resolved_eval();
+    // Per-cell supply models, hoisted to one *build* per distinct
+    // backend per run — a buck settle table costs milliseconds to
+    // integrate, and six buck cells share one snapshot. Clones compare
+    // equal, so the group builder still sees the sharing.
+    let mut sims: Vec<SupplySim> = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let sim = match cells[..sims.len()]
+            .iter()
+            .position(|prior| prior.supply == cell.supply)
+        {
+            Some(i) => sims[i].clone(),
+            None => cell.supply.build_sim(base.solver),
+        };
+        sims.push(sim);
+    }
+    let ctxs: Vec<StudyContext<'_>> = cells
+        .iter()
+        .zip(&sims)
+        .map(|(cell, sim)| {
+            StudyContext::new(
+                eval.clone(),
+                base.load.as_dyn(),
+                cell.env,
+                &base.variation,
+                base.spec,
+                base.fixed_word,
+                base.design_word,
+                sim,
+            )
+        })
+        .collect();
+    // Converter-fault droop figures, hoisted to once per cell.
+    let droops: Vec<(Volts, Volts)> = ctxs.iter().map(fault_droops).collect();
+    let groups = MatrixGroups::build(cells, &sims);
+    let seeds = ChunkSeeds::from_seed(base.seed, base.dies);
+    let batch = base.batch.max(1);
+    let hooks = base.hooks();
+    let mut result = try_par_fold_commit_multi(
+        &base.exec,
+        base.dies,
+        start_chunk,
+        &hooks,
+        cells.len(),
+        |cell| CellSummary::empty_for(&cells[cell]),
+        start,
+        |accs, range| {
+            let chunk_seeds = seeds.for_range(range);
+            fold_matrix_chunk(cells, &ctxs, &droops, &groups, batch, &chunk_seeds, accs);
+        },
+        |_cell, acc, part| acc.merge(part),
+        |chunks_done, accs: &[CellSummary]| match &mut writer {
+            Some(w) => {
+                let states: Vec<Vec<u8>> = accs.iter().map(CellSummary::encode_state).collect();
+                w.append(chunks_done as u64, &states)
+            }
+            None => Ok(()),
+        },
+    )
+    .map_err(StudyError::from_fold)?;
+    for acc in &mut result {
+        acc.set_fixed_word(base.fixed_word);
+    }
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -553,32 +562,31 @@ mod tests {
     }
 
     #[test]
-    fn single_summary_cell_matches_the_standalone_terminal() {
-        let standalone = StudyConfig::new(90, 13)
+    fn single_summary_cell_matches_the_scalar_reference() {
+        let scalar = StudyConfig::new(90, 13)
             .supply_backend(SupplyBackendKind::Buck)
-            .run_summary();
+            .run()
+            .summarize();
         let fused = StudyMatrix::new(StudyConfig::new(90, 13))
             .cell(SupplyBackendKind::Buck, Environment::nominal(), None)
             .run();
         assert_eq!(
             fused[0].encode_state(),
-            standalone.encode_state(),
+            scalar.encode_state(),
             "byte-identity of a lone cell"
         );
-        assert_eq!(
-            fused[0].as_yield().unwrap().fixed_word,
-            standalone.fixed_word
-        );
+        assert_eq!(fused[0].as_yield().unwrap().fixed_word, scalar.fixed_word);
     }
 
     #[test]
-    fn single_fault_cell_matches_the_standalone_terminal() {
+    fn single_fault_cell_matches_the_scalar_reference() {
         let plan = FaultPlan::uniform(0.02);
-        let standalone = StudyConfig::new(90, 13).faults(plan).run_faults();
+        let scalar = StudyConfig::new(90, 13).faults(plan).run().summarize();
         let fused = StudyMatrix::new(StudyConfig::new(90, 13))
             .cell(SupplyBackendKind::Ideal, Environment::nominal(), Some(plan))
             .run();
-        assert_eq!(fused[0].encode_state(), standalone.encode_state());
+        let faults = fused[0].as_faults().unwrap();
+        assert_eq!(faults.base.encode_state(), scalar.encode_state());
     }
 
     #[test]

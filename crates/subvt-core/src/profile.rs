@@ -1,8 +1,9 @@
 //! Per-phase wall-time accounting for the batched fleet hot path.
 //!
-//! The SoA die-scoring pipeline ([`crate::batch`]) runs five phases
-//! per sub-batch — die draw, fixed-design lane, adaptive word settle,
-//! adaptive cohort lanes, dither settle — and the SIMD work lands
+//! The SoA die-scoring pipeline (`crate::batch`, driven by the matrix
+//! engine) runs five phases per sub-batch — die draw, fixed-design
+//! lane, adaptive word settle, adaptive cohort lanes, dither settle —
+//! plus the per-fault-cell walk, and the SIMD work lands
 //! unevenly across them. These counters attribute the wall time so a
 //! speed-up claim can name the phase it came from, the same way
 //! `subvt-device`'s [`subvt_device::tabulate`] metrics attribute the
@@ -22,19 +23,16 @@ static FIXED_NANOS: AtomicU64 = AtomicU64::new(0);
 static SETTLE_WORD_NANOS: AtomicU64 = AtomicU64::new(0);
 static ADAPTIVE_LANE_NANOS: AtomicU64 = AtomicU64::new(0);
 static DITHER_NANOS: AtomicU64 = AtomicU64::new(0);
-static SHARED_DRAW_NANOS: AtomicU64 = AtomicU64::new(0);
 static FAULT_WALK_NANOS: AtomicU64 = AtomicU64::new(0);
 static SUB_BATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// The phases of the batched scoring pipeline, in execution order.
-/// The first five come from both the single-cell and matrix paths;
-/// the last two exist only on the matrix path
-/// ([`crate::matrix::StudyMatrix`]), which draws the die population
-/// once for *all* cells (`SharedDraw`) and then runs each fault
-/// cell's cycle-by-cycle walk as a per-cell tail (`FaultWalk`).
+/// The phases of the batched scoring pipeline
+/// ([`crate::matrix::StudyMatrix`], which every summary and fault study
+/// runs through), in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Monte-Carlo die draw into the SoA lanes.
+    /// Monte-Carlo die draw into the SoA lanes (and the fault-stream
+    /// seed replay), once per sub-batch for all cells.
     Draw,
     /// Fixed-design spec lane at the common commanded word.
     Fixed,
@@ -44,10 +42,7 @@ pub enum Phase {
     AdaptiveLanes,
     /// Sub-LSB dither settle and dithered spec check.
     Dither,
-    /// Matrix path: the once-per-chunk die draw (and fault-stream
-    /// seed replay) every cell shares.
-    SharedDraw,
-    /// Matrix path: the per-fault-cell cycle-by-cycle walks.
+    /// The per-fault-cell cycle-by-cycle walks.
     FaultWalk,
 }
 
@@ -59,7 +54,6 @@ pub(crate) fn record_phase(phase: Phase, nanos: u64) {
         Phase::SettleWord => &SETTLE_WORD_NANOS,
         Phase::AdaptiveLanes => &ADAPTIVE_LANE_NANOS,
         Phase::Dither => &DITHER_NANOS,
-        Phase::SharedDraw => &SHARED_DRAW_NANOS,
         Phase::FaultWalk => &FAULT_WALK_NANOS,
     };
     slot.fetch_add(nanos, Ordering::Relaxed);
@@ -83,9 +77,11 @@ pub struct PhaseProfile {
     pub adaptive_lane_nanos: u64,
     /// Nanoseconds in the dither settle + dithered spec check.
     pub dither_nanos: u64,
-    /// Nanoseconds in the matrix path's shared die draw (all cells).
+    /// Always 0: the die draw every cell shares is
+    /// [`PhaseProfile::draw_nanos`], the only draw there is. Kept so
+    /// readers of the field keep compiling.
     pub shared_draw_nanos: u64,
-    /// Nanoseconds in the matrix path's per-fault-cell walks.
+    /// Nanoseconds in the per-fault-cell walks.
     pub fault_walk_nanos: u64,
     /// Sub-batches scored.
     pub sub_batches: u64,
@@ -100,7 +96,7 @@ impl PhaseProfile {
             settle_word_nanos: SETTLE_WORD_NANOS.load(Ordering::Relaxed),
             adaptive_lane_nanos: ADAPTIVE_LANE_NANOS.load(Ordering::Relaxed),
             dither_nanos: DITHER_NANOS.load(Ordering::Relaxed),
-            shared_draw_nanos: SHARED_DRAW_NANOS.load(Ordering::Relaxed),
+            shared_draw_nanos: 0,
             fault_walk_nanos: FAULT_WALK_NANOS.load(Ordering::Relaxed),
             sub_batches: SUB_BATCHES.load(Ordering::Relaxed),
         }
@@ -113,7 +109,6 @@ impl PhaseProfile {
         SETTLE_WORD_NANOS.store(0, Ordering::Relaxed);
         ADAPTIVE_LANE_NANOS.store(0, Ordering::Relaxed);
         DITHER_NANOS.store(0, Ordering::Relaxed);
-        SHARED_DRAW_NANOS.store(0, Ordering::Relaxed);
         FAULT_WALK_NANOS.store(0, Ordering::Relaxed);
         SUB_BATCHES.store(0, Ordering::Relaxed);
     }
@@ -131,9 +126,7 @@ impl PhaseProfile {
                 .adaptive_lane_nanos
                 .saturating_sub(earlier.adaptive_lane_nanos),
             dither_nanos: self.dither_nanos.saturating_sub(earlier.dither_nanos),
-            shared_draw_nanos: self
-                .shared_draw_nanos
-                .saturating_sub(earlier.shared_draw_nanos),
+            shared_draw_nanos: 0,
             fault_walk_nanos: self
                 .fault_walk_nanos
                 .saturating_sub(earlier.fault_walk_nanos),
@@ -148,20 +141,18 @@ impl PhaseProfile {
             + self.settle_word_nanos
             + self.adaptive_lane_nanos
             + self.dither_nanos
-            + self.shared_draw_nanos
             + self.fault_walk_nanos
     }
 
     /// `(label, nanos)` per phase in execution order — the iteration
-    /// shape report printers want. The matrix-only phases come last.
-    pub fn phases(&self) -> [(&'static str, u64); 7] {
+    /// shape report printers want.
+    pub fn phases(&self) -> [(&'static str, u64); 6] {
         [
             ("draw", self.draw_nanos),
             ("fixed lane", self.fixed_nanos),
             ("word settle", self.settle_word_nanos),
             ("adaptive lanes", self.adaptive_lane_nanos),
             ("dither settle", self.dither_nanos),
-            ("shared draw", self.shared_draw_nanos),
             ("fault walk", self.fault_walk_nanos),
         ]
     }
@@ -173,7 +164,7 @@ impl PhaseProfile {
     ///
     /// [`phases`]: PhaseProfile::phases
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"schema\": \"subvt-phase-profile-v1\"");
+        let mut s = String::from("{\n  \"schema\": \"subvt-phase-profile-v2\"");
         for (label, nanos) in self.phases() {
             let key: String = label
                 .chars()
@@ -248,19 +239,19 @@ mod tests {
     fn json_names_every_phase_in_snake_case() {
         let json = PhaseProfile::snapshot().to_json();
         for key in [
-            "\"schema\": \"subvt-phase-profile-v1\"",
+            "\"schema\": \"subvt-phase-profile-v2\"",
             "\"draw_nanos\":",
             "\"fixed_lane_nanos\":",
             "\"word_settle_nanos\":",
             "\"adaptive_lanes_nanos\":",
             "\"dither_settle_nanos\":",
-            "\"shared_draw_nanos\":",
             "\"fault_walk_nanos\":",
             "\"sub_batches\":",
             "\"total_nanos\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("shared_draw"), "{json}");
     }
 
     #[test]

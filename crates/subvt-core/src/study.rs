@@ -1,14 +1,16 @@
 //! The unified Monte-Carlo study configuration.
 //!
-//! Historically every (execution × evaluator × supply) combination of
-//! the yield study grew its own entry point, and the savings
-//! Monte-Carlo repeated the pattern — fifteen public functions whose
-//! names encoded their argument lists. [`StudyConfig`] replaces all of
-//! them: one builder carrying the die count, seed and every model
-//! choice, with `run`/`run_summary` terminals (plus [`StudyConfig::run_faults`]
-//! for the fault-injection study). The legacy functions shipped one
-//! release as `#[deprecated]` delegates and have since been removed;
-//! the builder path is bit-identical to what they computed.
+//! [`StudyConfig`] is one builder carrying the die count, seed and
+//! every model choice of a yield study. Its terminals take two routes:
+//!
+//! * [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`] (and
+//!   their `try_*` forms) run the study as a one-cell
+//!   [`crate::matrix::StudyMatrix`] — the one batched scoring engine
+//!   and the one checkpoint format, so a standalone study and a matrix
+//!   cell are the same computation;
+//! * [`StudyConfig::run`] scores each die on its own through the
+//!   scalar path and materializes every outcome. It is the independent
+//!   reference the equivalence suites hold the engine to.
 //!
 //! ```
 //! use subvt_core::study::StudyConfig;
@@ -32,10 +34,9 @@ use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Joules};
 use subvt_device::variation::VariationModel;
 use subvt_digital::lut::VoltageWord;
-use subvt_exec::checkpoint::{fingerprint_of, open_for_resume, CheckpointError, CheckpointWriter};
+use subvt_exec::checkpoint::CheckpointError;
 use subvt_exec::{
-    chunk_count, par_fold_chunked, par_map_indexed, try_par_fold_commit, CancelToken, ExecConfig,
-    ExecHooks, FoldError, Progress,
+    par_fold_chunked, par_map_indexed, CancelToken, ExecConfig, ExecHooks, FoldError, Progress,
 };
 use subvt_loads::load::CircuitLoad;
 use subvt_loads::ring_oscillator::RingOscillator;
@@ -44,9 +45,8 @@ use subvt_rng::{Rng, StdRng};
 
 pub use subvt_faults::FaultPlan;
 
-use crate::batch::{fold_dies, fold_faulted_dies, ChunkSeeds};
-use crate::controller::SupplyKind;
 use crate::fault_study::{score_faulted_die, FaultStudySummary};
+use crate::matrix::{run_cells, CellSummary, MatrixCell};
 use crate::yield_study::{
     analytic, die_seeds, StudyContext, SupplySim, YieldReport, YieldSpec, YieldSummary,
 };
@@ -65,15 +65,6 @@ impl StudyLoad<'_> {
             StudyLoad::Borrowed(load) => *load,
         }
     }
-}
-
-/// Which supply model scores the dies.
-pub(crate) enum StudySupply {
-    /// A named backend, built at run time (with the configured solver
-    /// for the buck).
-    Backend(SupplyBackendKind),
-    /// An explicit, caller-built model.
-    Model(SupplySim),
 }
 
 /// A named supply backend the CLI and builder select without building
@@ -123,14 +114,12 @@ impl SupplyBackendKind {
 impl std::str::FromStr for SupplyBackendKind {
     type Err = String;
 
-    /// Parses a `--supply` value. `switched` is still accepted as a
-    /// silent alias for `buck` (same model, same fingerprint tag) so
-    /// old scripts and checkpoints keep working, but the help and
-    /// error text no longer advertise it.
+    /// Parses a `--supply` value (the [`SupplyBackendKind::label`]
+    /// spellings).
     fn from_str(s: &str) -> Result<SupplyBackendKind, String> {
         match s {
             "ideal" => Ok(SupplyBackendKind::Ideal),
-            "buck" | "switched" => Ok(SupplyBackendKind::Buck),
+            "buck" => Ok(SupplyBackendKind::Buck),
             "dldo" => Ok(SupplyBackendKind::Dldo),
             "dlr" => Ok(SupplyBackendKind::Dlr),
             other => Err(format!(
@@ -215,7 +204,7 @@ pub struct StudyConfig<'a> {
     pub(crate) fixed_word: VoltageWord,
     pub(crate) design_word: VoltageWord,
     pub(crate) load: StudyLoad<'a>,
-    pub(crate) supply: StudySupply,
+    pub(crate) supply: SupplyBackendKind,
     pub(crate) solver: SolverMode,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) exec: ExecConfig,
@@ -252,7 +241,7 @@ impl<'a> StudyConfig<'a> {
             fixed_word: 11,
             design_word: 11,
             load: StudyLoad::Paper(RingOscillator::paper_circuit()),
-            supply: StudySupply::Backend(SupplyBackendKind::Ideal),
+            supply: SupplyBackendKind::Ideal,
             solver: SolverMode::default(),
             faults: None,
             exec: ExecConfig::from_env(),
@@ -315,28 +304,11 @@ impl<'a> StudyConfig<'a> {
         self
     }
 
-    /// Explicit supply model (e.g. [`SupplySim::switched`]).
-    pub fn supply(mut self, supply: SupplySim) -> StudyConfig<'a> {
-        self.supply = StudySupply::Model(supply);
-        self
-    }
-
-    /// Supply by kind: `Ideal` is the exact-word rail; `Switched`
-    /// builds the buck converter model with the configured
-    /// [`StudyConfig::solver`] at run time. (Legacy two-way spelling
-    /// of [`StudyConfig::supply_backend`].)
-    pub fn supply_kind(self, kind: SupplyKind) -> StudyConfig<'a> {
-        self.supply_backend(match kind {
-            SupplyKind::Ideal => SupplyBackendKind::Ideal,
-            SupplyKind::Switched => SupplyBackendKind::Buck,
-        })
-    }
-
     /// Supply by named backend (what `--supply` selects): the model is
     /// built at run time, with the configured [`StudyConfig::solver`]
     /// for the buck.
     pub fn supply_backend(mut self, kind: SupplyBackendKind) -> StudyConfig<'a> {
-        self.supply = StudySupply::Backend(kind);
+        self.supply = kind;
         self
     }
 
@@ -413,39 +385,25 @@ impl<'a> StudyConfig<'a> {
         self.eval.clone().unwrap_or_else(|| analytic(&self.tech))
     }
 
-    fn resolved_supply(&self) -> SupplySim {
-        match &self.supply {
-            StudySupply::Backend(kind) => kind.build_sim(self.solver),
-            StudySupply::Model(sim) => sim.clone(),
-        }
-    }
-
-    fn context<'c>(&'c self, eval: &SharedEval, supply: &'c SupplySim) -> StudyContext<'c> {
-        StudyContext::new(
-            eval.clone(),
+    /// Runs the study, materializing every die outcome. This is the
+    /// scalar reference path: each die is scored on its own through
+    /// `StudyContext::score_die` (or the faulted walk), independently
+    /// of the batched engine behind the summary terminals, which the
+    /// equivalence suites compare against it.
+    pub fn run(&self) -> YieldReport {
+        let eval = self.resolved_eval();
+        let supply = self.supply.build_sim(self.solver);
+        let ctx = StudyContext::new(
+            eval,
             self.load.as_dyn(),
             self.env,
             &self.variation,
             self.spec,
             self.fixed_word,
             self.design_word,
-            supply,
-        )
-    }
-
-    /// Runs the study, materializing every die outcome.
-    pub fn run(&self) -> YieldReport {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.run_with_rng(&mut rng)
-    }
-
-    /// [`StudyConfig::run`] drawing die streams from a caller-owned
-    /// generator (the builder's `seed` is ignored).
-    pub fn run_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> YieldReport {
-        let eval = self.resolved_eval();
-        let supply = self.resolved_supply();
-        let ctx = self.context(&eval, &supply);
-        let seeds = die_seeds(rng, self.dies);
+            &supply,
+        );
+        let seeds = die_seeds(&mut StdRng::seed_from_u64(self.seed), self.dies);
         let dies = match self.faults {
             None => par_map_indexed(&self.exec, self.dies, |i| {
                 ctx.score_die(StdRng::seed_from_u64(seeds[i]))
@@ -475,32 +433,16 @@ impl<'a> StudyConfig<'a> {
         }
     }
 
-    /// [`StudyConfig::run_summary`] drawing die streams from a
-    /// caller-owned generator (the builder's `seed`, checkpoint and
-    /// hooks are ignored — the external stream has no stable identity
-    /// to resume under).
-    pub fn run_summary_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> YieldSummary {
-        let seeds = ChunkSeeds::Flat(die_seeds(rng, self.dies));
-        match self.summary_fold(
-            &seeds,
-            0,
-            YieldSummary::empty(),
-            &ExecHooks::default(),
-            &mut None,
-        ) {
-            Ok(summary) => summary,
-            Err(_) => unreachable!("no cancel token or checkpoint attached"),
-        }
-    }
-
     /// [`StudyConfig::run_summary`] with cancellation, progress and
-    /// checkpointing surfaced as values: scores chunk-by-chunk through
-    /// the batched SoA path, committing one checkpoint record per
-    /// chunk when [`StudyConfig::checkpoint`] is armed. If the file
+    /// checkpointing surfaced as values: the study runs as a one-cell
+    /// [`crate::matrix::StudyMatrix`] (this configuration's supply,
+    /// environment and fault plan), committing one checkpoint record
+    /// per chunk when [`StudyConfig::checkpoint`] is armed. If the file
     /// already exists, the run *resumes* from its last committed
     /// record and the final summary is bit-identical to a run that was
     /// never interrupted — even at a different worker count or batch
-    /// size.
+    /// size. With a fault plan armed, this is the yield part of
+    /// [`StudyConfig::try_run_faults`] (and shares its checkpoint).
     ///
     /// # Errors
     ///
@@ -509,11 +451,10 @@ impl<'a> StudyConfig<'a> {
     /// created/appended, or an existing one is damaged or belongs to a
     /// different configuration.
     pub fn try_run_summary(&self) -> Result<YieldSummary, StudyError> {
-        let seeds = ChunkSeeds::from_seed(self.seed, self.dies);
-        let (start_chunk, acc, mut writer) =
-            self.open_checkpoint("summary", YieldSummary::empty(), YieldSummary::decode_state)?;
-        self.summary_fold(&seeds, start_chunk, acc, &self.hooks(), &mut writer)
-            .map_err(StudyError::from_fold)
+        Ok(match self.run_one_cell(self.faults)? {
+            CellSummary::Yield(summary) => summary,
+            CellSummary::Faults(summary) => summary.base,
+        })
     }
 
     /// Runs the fault-injection study: the armed plan (or a zero-rate
@@ -532,23 +473,6 @@ impl<'a> StudyConfig<'a> {
         }
     }
 
-    /// [`StudyConfig::run_faults`] drawing die streams from a
-    /// caller-owned generator (the builder's `seed`, checkpoint and
-    /// hooks are ignored).
-    pub fn run_faults_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> FaultStudySummary {
-        let seeds = ChunkSeeds::Flat(die_seeds(rng, self.dies));
-        match self.faults_fold(
-            &seeds,
-            0,
-            FaultStudySummary::empty(),
-            &ExecHooks::default(),
-            &mut None,
-        ) {
-            Ok(summary) => summary,
-            Err(_) => unreachable!("no cancel token or checkpoint attached"),
-        }
-    }
-
     /// [`StudyConfig::run_faults`] with cancellation, progress and
     /// checkpointing surfaced as values — the fault-study counterpart
     /// of [`StudyConfig::try_run_summary`], with the same resume
@@ -558,14 +482,22 @@ impl<'a> StudyConfig<'a> {
     ///
     /// As [`StudyConfig::try_run_summary`].
     pub fn try_run_faults(&self) -> Result<FaultStudySummary, StudyError> {
-        let seeds = ChunkSeeds::from_seed(self.seed, self.dies);
-        let (start_chunk, acc, mut writer) = self.open_checkpoint(
-            "faults",
-            FaultStudySummary::empty(),
-            FaultStudySummary::decode_state,
-        )?;
-        self.faults_fold(&seeds, start_chunk, acc, &self.hooks(), &mut writer)
-            .map_err(StudyError::from_fold)
+        let plan = self.faults.unwrap_or_else(|| FaultPlan::uniform(0.0));
+        match self.run_one_cell(Some(plan))? {
+            CellSummary::Faults(summary) => Ok(summary),
+            CellSummary::Yield(_) => unreachable!("a fault cell folds a fault summary"),
+        }
+    }
+
+    /// This configuration as the one cell of a matrix over itself.
+    fn run_one_cell(&self, faults: Option<FaultPlan>) -> Result<CellSummary, StudyError> {
+        let cell = MatrixCell {
+            supply: self.supply,
+            env: self.env,
+            faults,
+        };
+        let mut cells = run_cells(self, &[cell])?;
+        Ok(cells.pop().expect("one cell in, one result out"))
     }
 
     pub(crate) fn hooks(&self) -> ExecHooks<'_> {
@@ -575,146 +507,22 @@ impl<'a> StudyConfig<'a> {
         }
     }
 
-    /// The chunk-committed summary fold all summary terminals share:
-    /// the batched SoA scorer inside `try_par_fold_commit`, appending
-    /// one checkpoint record per committed chunk when a writer is
-    /// attached.
-    fn summary_fold(
-        &self,
-        seeds: &ChunkSeeds,
-        start_chunk: usize,
-        acc: YieldSummary,
-        hooks: &ExecHooks<'_>,
-        writer: &mut Option<CheckpointWriter>,
-    ) -> Result<YieldSummary, FoldError<CheckpointError>> {
-        let eval = self.resolved_eval();
-        let supply = self.resolved_supply();
-        let ctx = self.context(&eval, &supply);
-        let batch = self.batch.max(1);
-        let mut summary = try_par_fold_commit(
-            &self.exec,
-            self.dies,
-            start_chunk,
-            hooks,
-            YieldSummary::empty,
-            acc,
-            |part, range| {
-                let first_die = range.start;
-                let chunk_seeds = seeds.for_range(range);
-                match self.faults {
-                    None => fold_dies(&ctx, &chunk_seeds, first_die, batch, |_, die| {
-                        part.absorb(die)
-                    }),
-                    Some(plan) => {
-                        fold_faulted_dies(&ctx, plan, &chunk_seeds, first_die, batch, |_, die| {
-                            part.absorb(&die.base)
-                        })
-                    }
-                }
-            },
-            YieldSummary::merge,
-            |chunks_done, acc| match writer {
-                Some(w) => w.append(chunks_done as u64, &acc.encode_state()),
-                None => Ok(()),
-            },
-        )?;
-        summary.fixed_word = self.fixed_word;
-        Ok(summary)
-    }
-
-    /// The fault-study counterpart of [`StudyConfig::summary_fold`].
-    fn faults_fold(
-        &self,
-        seeds: &ChunkSeeds,
-        start_chunk: usize,
-        acc: FaultStudySummary,
-        hooks: &ExecHooks<'_>,
-        writer: &mut Option<CheckpointWriter>,
-    ) -> Result<FaultStudySummary, FoldError<CheckpointError>> {
-        let plan = self.faults.unwrap_or_else(|| FaultPlan::uniform(0.0));
-        let eval = self.resolved_eval();
-        let supply = self.resolved_supply();
-        let ctx = self.context(&eval, &supply);
-        let batch = self.batch.max(1);
-        let mut summary = try_par_fold_commit(
-            &self.exec,
-            self.dies,
-            start_chunk,
-            hooks,
-            FaultStudySummary::empty,
-            acc,
-            |part, range| {
-                let first_die = range.start;
-                let chunk_seeds = seeds.for_range(range);
-                fold_faulted_dies(&ctx, plan, &chunk_seeds, first_die, batch, |_, die| {
-                    part.absorb(die)
-                })
-            },
-            FaultStudySummary::merge,
-            |chunks_done, acc| match writer {
-                Some(w) => w.append(chunks_done as u64, &acc.encode_state()),
-                None => Ok(()),
-            },
-        )?;
-        summary.base.fixed_word = self.fixed_word;
-        Ok(summary)
-    }
-
-    /// Opens (or creates) the configured checkpoint file, returning
-    /// the resume point: `(start_chunk, accumulator, writer)`.
-    fn open_checkpoint<A>(
-        &self,
-        kind: &str,
-        empty: A,
-        decode: impl Fn(&[u8]) -> Result<A, CheckpointError>,
-    ) -> Result<(usize, A, Option<CheckpointWriter>), StudyError> {
-        let Some(path) = &self.checkpoint else {
-            return Ok((0, empty, None));
-        };
-        let fingerprint = fingerprint_of(&self.fingerprint_text(kind));
-        let total = self.dies as u64;
-        if !path.exists() {
-            let writer = CheckpointWriter::create(path, fingerprint, total)?;
-            return Ok((0, empty, Some(writer)));
-        }
-        let (checkpoint, writer) = open_for_resume(path)?;
-        checkpoint.verify(fingerprint, total)?;
-        match checkpoint.last {
-            None => Ok((0, empty, Some(writer))),
-            Some(record) => {
-                let start = usize::try_from(record.chunks_done)
-                    .ok()
-                    .filter(|&c| c <= chunk_count(self.dies))
-                    .ok_or(StudyError::Checkpoint(CheckpointError::Decode(
-                        "checkpoint is ahead of the population",
-                    )))?;
-                let acc = decode(&record.state)?;
-                Ok((start, acc, Some(writer)))
-            }
-        }
-    }
-
-    /// The run-identity string hashed into the checkpoint fingerprint:
-    /// everything that shapes the *result* — seed, population, spec,
-    /// models — and nothing that only shapes the *execution* (worker
-    /// count and batch size are deliberately excluded, so a run may
-    /// resume under a different `--jobs`/`--batch` bit-identically).
+    /// The run-identity string of this configuration as one study
+    /// cell: everything that shapes the *result* — seed, population,
+    /// spec, models — and nothing that only shapes the *execution*
+    /// (worker count and batch size are deliberately excluded, so a run
+    /// may resume under a different `--jobs`/`--batch` bit-identically).
+    /// A checkpoint fingerprint hashes one such line per cell
+    /// ([`crate::matrix::StudyMatrix::fingerprint_text`]).
     pub fn fingerprint_text(&self, kind: &str) -> String {
-        let supply_tag = match &self.supply {
-            StudySupply::Backend(kind) => kind.label().to_owned(),
-            StudySupply::Model(SupplySim::Ideal) => "ideal".to_owned(),
-            StudySupply::Model(SupplySim::Regulated(model)) => {
-                format!("{}-model", model.tag())
-            }
-        };
-        self.fingerprint_text_with(kind, &supply_tag, self.env, self.faults)
+        self.fingerprint_text_with(kind, self.supply.label(), self.env, self.faults)
     }
 
     /// [`StudyConfig::fingerprint_text`] with the cell-varying axes —
     /// supply tag, environment, fault plan — passed explicitly, so the
     /// matrix path ([`crate::matrix`]) derives each cell's identity
-    /// string from the same template a standalone run of that cell
-    /// would hash. One format string serves both; they cannot drift.
+    /// string from the same template. One format string serves both;
+    /// they cannot drift.
     pub(crate) fn fingerprint_text_with(
         &self,
         kind: &str,
@@ -1151,7 +959,7 @@ mod tests {
             "--eval",
             "tabulated",
             "--supply",
-            "switched",
+            "buck",
             "--solver",
             "rk4",
             "--faults",
@@ -1191,16 +999,15 @@ mod tests {
     }
 
     #[test]
-    fn switched_alias_parses_but_is_not_advertised() {
-        // The alias stays accepted (scripts, checkpoint fingerprints)
-        // but is retired from every user-facing listing.
+    fn switched_is_an_unknown_supply() {
+        // The retired `switched` spelling of `buck` gets the ordinary
+        // unknown-supply error, and no listing mentions it.
+        let err = "switched".parse::<SupplyBackendKind>().unwrap_err();
         assert_eq!(
-            "switched".parse::<SupplyBackendKind>().unwrap(),
-            SupplyBackendKind::Buck
+            err,
+            "unknown supply `switched` (expected one of: ideal, buck, dldo, dlr)"
         );
         assert!(!STUDY_HELP.contains("switched"), "{STUDY_HELP}");
-        let err = "battery".parse::<SupplyBackendKind>().unwrap_err();
-        assert!(!err.contains("switched"), "{err}");
     }
 
     #[test]
@@ -1302,13 +1109,12 @@ mod tests {
     }
 
     #[test]
-    fn supply_backends_parse_by_name_with_switched_as_alias() {
+    fn supply_backends_parse_by_name() {
         for (raw, kind) in [
             ("ideal", SupplyBackendKind::Ideal),
             ("buck", SupplyBackendKind::Buck),
             ("dldo", SupplyBackendKind::Dldo),
             ("dlr", SupplyBackendKind::Dlr),
-            ("switched", SupplyBackendKind::Buck),
         ] {
             let study = parse_all(&["--supply", raw]).unwrap();
             assert_eq!(study.supply, kind, "--supply {raw}");
@@ -1334,19 +1140,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_kinds_and_the_switched_alias_share_fingerprints() {
-        // `--supply switched` must resume a checkpoint written by
-        // `--supply buck` (one model, one tag), while each real backend
-        // fingerprints distinctly.
+    fn backend_kinds_fingerprint_distinctly() {
         let tag = |kind: SupplyBackendKind| {
             StudyConfig::new(10, 1)
                 .supply_backend(kind)
                 .fingerprint_text("summary")
         };
-        assert_eq!(
-            tag("switched".parse().unwrap()),
-            tag(SupplyBackendKind::Buck)
-        );
+        assert!(tag(SupplyBackendKind::Buck).contains("supply=buck"));
         let tags: Vec<String> = [
             SupplyBackendKind::Ideal,
             SupplyBackendKind::Buck,
@@ -1361,12 +1161,6 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        // An explicit caller-built model fingerprints as `{tag}-model`,
-        // distinct from the kind-built path.
-        let model = StudyConfig::new(10, 1)
-            .supply(SupplyBackendKind::Dldo.build_sim(SolverMode::default()))
-            .fingerprint_text("summary");
-        assert!(model.contains("supply=dldo-model"), "{model}");
     }
 
     #[test]

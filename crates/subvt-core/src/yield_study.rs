@@ -525,7 +525,7 @@ pub(crate) fn analytic(tech: &Technology) -> SharedEval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
+    use crate::study::{StudyConfig, SupplyBackendKind};
 
     fn study(spec: YieldSpec, fixed_word: VoltageWord) -> YieldReport {
         // Defaults cover the paper configuration (ST 130 nm, nominal
@@ -718,10 +718,9 @@ mod tests {
 
     #[test]
     fn switched_supply_yield_is_ripple_aware() {
-        let supply = SupplySim::switched(ConverterParams::default());
         let switched = StudyConfig::new(200, 77)
             .spec(tight_spec())
-            .supply(supply)
+            .supply_backend(SupplyBackendKind::Buck)
             .run();
         let ideal = study(tight_spec(), 11);
         // The ripple trough only subtracts MEP margin: the switched
@@ -752,7 +751,7 @@ mod tests {
         let default = StudyConfig::new(50, 9).spec(tight_spec()).run();
         let explicit = StudyConfig::new(50, 9)
             .spec(tight_spec())
-            .supply(SupplySim::Ideal)
+            .supply_backend(SupplyBackendKind::Ideal)
             .run();
         assert_eq!(default, explicit);
     }

@@ -1,26 +1,27 @@
 //! Chunk-granular checkpoint files for resumable committing folds.
 //!
-//! A checkpoint file records the *running merged accumulator* of a
-//! [`try_par_fold_commit`](crate::try_par_fold_commit) run after each
-//! committed chunk. Because the engine commits strictly in chunk
-//! order, resuming from the last record — seed the fold with the saved
-//! accumulator state and start at the saved chunk index — replays the
-//! exact merge sequence of an uninterrupted run, so the resumed result
-//! is bit-identical (floats are stored as raw IEEE-754 bit patterns,
-//! never formatted).
+//! A checkpoint file records the *running merged accumulators* of a
+//! [`try_par_fold_commit_multi`] run after each committed chunk. The
+//! run folds one item stream into N per-cell accumulators (a standalone
+//! study is the N = 1 case), and because the engine commits strictly in
+//! chunk order, resuming from the last record — seed the fold with the
+//! saved states and start at the saved chunk index — replays the exact
+//! merge sequence of an uninterrupted run, so the resumed result is
+//! bit-identical (floats are stored as raw IEEE-754 bit patterns, never
+//! formatted).
 //!
-//! ## File format (version 1, little-endian throughout)
+//! ## File format (version 2, little-endian throughout)
 //!
 //! ```text
 //! header:  magic  b"SVCP"       4 bytes
-//!          version u32          = 1
+//!          version u32          = 2
 //!          fingerprint u64      caller-supplied run identity
 //!          total_items u64      population size n
-//!          crc32 u32            over the 24 header bytes above
-//! record:  chunks_done u64      chunks merged into this state
-//!          state_len u32
-//!          state bytes          opaque accumulator state
-//!          crc32 u32            over chunks_done ‖ state_len ‖ state
+//!          cells u32            per-record state count N
+//!          crc32 u32            over the 28 header bytes above
+//! record:  chunks_done u64      chunks merged into these states
+//!          N × (state_len u32, state bytes)
+//!          crc32 u32            over the whole record body
 //! ```
 //!
 //! Records only ever append; each is written with a single `write`
@@ -29,7 +30,9 @@
 //! unknown version, CRC mismatch, non-monotonic record order, or a
 //! trailing partial record is a hard [`CheckpointError`] — a damaged
 //! checkpoint is **rejected, never silently restarted**, because the
-//! caller cannot tell a torn file from a wrong one.
+//! caller cannot tell a torn file from a wrong one. Version 1 (the
+//! retired single-state format) is one of the unknown versions:
+//! [`CheckpointError::BadVersion`]`(1)`.
 //!
 //! The `fingerprint` is the caller's hash of everything that shapes
 //! the run's results (seed, population, model, spec, …) so a
@@ -38,30 +41,6 @@
 //! guarantees those don't change results, and resuming at a different
 //! `--jobs` is explicitly supported.
 //!
-//! ## Matrix format (version 2)
-//!
-//! A matrix run ([`try_par_fold_commit_multi`]) folds one die stream
-//! into N per-cell accumulators, so its records carry N state blobs:
-//!
-//! ```text
-//! header:  magic  b"SVCP"       4 bytes
-//!          version u32          = 2
-//!          fingerprint u64      matrix identity (all cells)
-//!          total_items u64      population size n
-//!          cells u32            per-record state count N
-//!          crc32 u32            over the 28 header bytes above
-//! record:  chunks_done u64
-//!          N × (state_len u32, state bytes)
-//!          crc32 u32            over the whole record body
-//! ```
-//!
-//! Everything else — append-only single-write records, the strict
-//! reader, the reject-never-salvage rule — carries over unchanged.
-//! The version-1 reader rejects a version-2 file (and vice versa)
-//! with [`CheckpointError::BadVersion`]: the two formats are distinct
-//! on purpose, so a single-cell resume can never consume a matrix
-//! file.
-//!
 //! [`try_par_fold_commit_multi`]: crate::try_par_fold_commit_multi
 
 use std::fs::{File, OpenOptions};
@@ -69,14 +48,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"SVCP";
-const VERSION: u32 = 1;
-const MATRIX_VERSION: u32 = 2;
-/// magic + version + fingerprint + total_items + crc32.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4;
+const VERSION: u32 = 2;
 /// magic + version + fingerprint + total_items + cells + crc32.
-const MATRIX_HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 4;
-/// chunks_done + state_len + crc32 (excluding the state bytes).
-const RECORD_OVERHEAD: usize = 8 + 4 + 4;
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 4;
 
 /// Why a checkpoint file could not be written, read, or trusted.
 #[derive(Debug)]
@@ -102,7 +76,7 @@ pub enum CheckpointError {
         /// Population stored in the file.
         found: u64,
     },
-    /// A matrix file was written for a different cell count.
+    /// The file was written for a different cell count.
     CellsMismatch {
         /// Cell count of the matrix asking to resume.
         expected: u32,
@@ -140,7 +114,7 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::CellsMismatch { expected, found } => write!(
                 f,
-                "matrix checkpoint carries {found} cells, this matrix has {expected}"
+                "checkpoint carries {found} cells, this run has {expected}"
             ),
             CheckpointError::Corrupt(what) => {
                 write!(f, "corrupt checkpoint file ({what}); refusing to resume")
@@ -256,17 +230,17 @@ impl<'a> StateReader<'a> {
     }
 }
 
-/// The latest committed state recovered from a checkpoint file.
+/// The latest committed state of a one-cell checkpoint file (see
+/// [`read_checkpoint`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointRecord {
     /// Chunks merged into `state` (the resume point's `start_chunk`).
     pub chunks_done: u64,
-    /// Opaque accumulator state, as handed to
-    /// [`CheckpointWriter::append`].
+    /// The cell's opaque accumulator state.
     pub state: Vec<u8>,
 }
 
-/// A fully validated checkpoint file.
+/// A fully validated one-cell checkpoint file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Run identity the file was created with.
@@ -278,14 +252,78 @@ pub struct Checkpoint {
     pub last: Option<CheckpointRecord>,
 }
 
-impl Checkpoint {
-    /// Checks the file belongs to the run asking to resume.
+/// Reads a checkpoint file that carries exactly one cell — the shape a
+/// standalone study writes — as a single-state view.
+///
+/// # Errors
+///
+/// As [`read_matrix_checkpoint`];
+/// [`CheckpointError::CellsMismatch`] (expected 1) for a file with any
+/// other cell count.
+pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
+    let matrix = read_matrix_checkpoint(path)?;
+    if matrix.cells != 1 {
+        return Err(CheckpointError::CellsMismatch {
+            expected: 1,
+            found: matrix.cells,
+        });
+    }
+    Ok(Checkpoint {
+        fingerprint: matrix.fingerprint,
+        total_items: matrix.total_items,
+        last: matrix.last.map(|r| CheckpointRecord {
+            chunks_done: r.chunks_done,
+            state: r.states.into_iter().next().expect("one cell"),
+        }),
+    })
+}
+
+/// The latest committed record: one state blob per cell, all merged
+/// through the same `chunks_done` chunks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixCheckpointRecord {
+    /// Chunks merged into every cell state.
+    pub chunks_done: u64,
+    /// One opaque accumulator state per cell, in cell order.
+    pub states: Vec<Vec<u8>>,
+}
+
+/// A fully validated checkpoint file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixCheckpoint {
+    /// Run identity the file was created with.
+    pub fingerprint: u64,
+    /// Population size the file was created with.
+    pub total_items: u64,
+    /// Cell count every record carries.
+    pub cells: u32,
+    /// The last committed record; `None` for a header-only file
+    /// (created, then cancelled before the first commit).
+    pub last: Option<MatrixCheckpointRecord>,
+}
+
+impl MatrixCheckpoint {
+    /// Checks the file belongs to the run asking to resume. The cell
+    /// count is checked first: a file of a different shape reports
+    /// that, not the fingerprint mismatch that follows from it.
     ///
     /// # Errors
     ///
+    /// [`CheckpointError::CellsMismatch`] /
     /// [`CheckpointError::FingerprintMismatch`] /
     /// [`CheckpointError::TotalMismatch`] when it does not.
-    pub fn verify(&self, fingerprint: u64, total_items: u64) -> Result<(), CheckpointError> {
+    pub fn verify(
+        &self,
+        fingerprint: u64,
+        total_items: u64,
+        cells: u32,
+    ) -> Result<(), CheckpointError> {
+        if self.cells != cells {
+            return Err(CheckpointError::CellsMismatch {
+                expected: cells,
+                found: self.cells,
+            });
+        }
         if self.fingerprint != fingerprint {
             return Err(CheckpointError::FingerprintMismatch {
                 expected: fingerprint,
@@ -304,12 +342,13 @@ impl Checkpoint {
 
 /// Append-only writer for a checkpoint file.
 #[derive(Debug)]
-pub struct CheckpointWriter {
+pub struct MatrixCheckpointWriter {
     file: File,
     last_chunks_done: u64,
+    cells: u32,
 }
 
-impl CheckpointWriter {
+impl MatrixCheckpointWriter {
     /// Creates (truncating) a checkpoint file and writes its header.
     ///
     /// # Errors
@@ -319,47 +358,59 @@ impl CheckpointWriter {
         path: &Path,
         fingerprint: u64,
         total_items: u64,
-    ) -> Result<CheckpointWriter, CheckpointError> {
+        cells: u32,
+    ) -> Result<MatrixCheckpointWriter, CheckpointError> {
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&fingerprint.to_le_bytes());
         header.extend_from_slice(&total_items.to_le_bytes());
+        header.extend_from_slice(&cells.to_le_bytes());
         let crc = crc32(&header);
         header.extend_from_slice(&crc.to_le_bytes());
         let mut file = File::create(path)?;
         file.write_all(&header)?;
         file.flush()?;
-        Ok(CheckpointWriter {
+        Ok(MatrixCheckpointWriter {
             file,
             last_chunks_done: 0,
+            cells,
         })
     }
 
-    /// Appends one committed-state record (a single `write` + flush,
-    /// so a cancellation between commits never tears the file).
+    /// Appends one committed record (a single `write` + flush, so a
+    /// cancellation between commits never tears the file).
     ///
     /// # Panics
     ///
-    /// Panics if `chunks_done` does not increase monotonically — the
-    /// commit engine calls in chunk order by construction.
+    /// Panics if `chunks_done` does not increase monotonically or
+    /// `states` does not match the header's cell count — both hold by
+    /// construction in the commit engine.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn append(&mut self, chunks_done: u64, state: &[u8]) -> Result<(), CheckpointError> {
+    pub fn append(&mut self, chunks_done: u64, states: &[Vec<u8>]) -> Result<(), CheckpointError> {
         assert!(
             chunks_done > self.last_chunks_done,
             "checkpoint records must advance: {} after {}",
             chunks_done,
             self.last_chunks_done
         );
-        let state_len =
-            u32::try_from(state.len()).map_err(|_| CheckpointError::Decode("state too large"))?;
-        let mut record = Vec::with_capacity(RECORD_OVERHEAD + state.len());
+        assert_eq!(
+            states.len(),
+            self.cells as usize,
+            "a record must carry one state per cell"
+        );
+        let body_len = 8 + states.iter().map(|s| 4 + s.len()).sum::<usize>();
+        let mut record = Vec::with_capacity(body_len + 4);
         record.extend_from_slice(&chunks_done.to_le_bytes());
-        record.extend_from_slice(&state_len.to_le_bytes());
-        record.extend_from_slice(state);
+        for state in states {
+            let state_len = u32::try_from(state.len())
+                .map_err(|_| CheckpointError::Decode("state too large"))?;
+            record.extend_from_slice(&state_len.to_le_bytes());
+            record.extend_from_slice(state);
+        }
         let crc = crc32(&record);
         record.extend_from_slice(&crc.to_le_bytes());
         self.file.write_all(&record)?;
@@ -381,236 +432,6 @@ impl CheckpointWriter {
 /// [`CheckpointError::Io`] if the file cannot be read,
 /// [`CheckpointError::BadMagic`] / [`CheckpointError::BadVersion`] /
 /// [`CheckpointError::Corrupt`] on structural damage.
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    let data = std::fs::read(path)?;
-    parse_checkpoint(&data)
-}
-
-fn parse_checkpoint(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    if data.len() < 4 {
-        return Err(
-            if data.starts_with(&MAGIC[..data.len()]) && !data.is_empty() {
-                CheckpointError::Corrupt("truncated header")
-            } else {
-                CheckpointError::BadMagic
-            },
-        );
-    }
-    if data[..4] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    if data.len() < HEADER_LEN {
-        return Err(CheckpointError::Corrupt("truncated header"));
-    }
-    let field_u32 = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
-    let field_u64 = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-    let version = field_u32(4);
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    if crc32(&data[..HEADER_LEN - 4]) != field_u32(HEADER_LEN - 4) {
-        return Err(CheckpointError::Corrupt("header CRC mismatch"));
-    }
-    let fingerprint = field_u64(8);
-    let total_items = field_u64(16);
-
-    let mut last: Option<CheckpointRecord> = None;
-    let mut at = HEADER_LEN;
-    while at < data.len() {
-        if data.len() - at < RECORD_OVERHEAD {
-            return Err(CheckpointError::Corrupt("truncated record"));
-        }
-        let chunks_done = field_u64(at);
-        let state_len = field_u32(at + 8) as usize;
-        let body_end = at + 12 + state_len;
-        if data.len() - (at + 12) < state_len + 4 {
-            return Err(CheckpointError::Corrupt("truncated record"));
-        }
-        if crc32(&data[at..body_end]) != field_u32(body_end) {
-            return Err(CheckpointError::Corrupt("record CRC mismatch"));
-        }
-        if last.as_ref().is_some_and(|l| chunks_done <= l.chunks_done) {
-            return Err(CheckpointError::Corrupt("records out of order"));
-        }
-        last = Some(CheckpointRecord {
-            chunks_done,
-            state: data[at + 12..body_end].to_vec(),
-        });
-        at = body_end + 4;
-    }
-    Ok(Checkpoint {
-        fingerprint,
-        total_items,
-        last,
-    })
-}
-
-/// Opens an existing checkpoint for resuming: validates the whole
-/// file, then returns it with a writer positioned to append.
-///
-/// # Errors
-///
-/// As [`read_checkpoint`].
-pub fn open_for_resume(path: &Path) -> Result<(Checkpoint, CheckpointWriter), CheckpointError> {
-    let checkpoint = read_checkpoint(path)?;
-    let file = OpenOptions::new().append(true).open(path)?;
-    let last_chunks_done = checkpoint.last.as_ref().map_or(0, |r| r.chunks_done);
-    Ok((
-        checkpoint,
-        CheckpointWriter {
-            file,
-            last_chunks_done,
-        },
-    ))
-}
-
-/// The latest committed matrix record: one state blob per cell, all
-/// merged through the same `chunks_done` chunks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatrixCheckpointRecord {
-    /// Chunks merged into every cell state.
-    pub chunks_done: u64,
-    /// One opaque accumulator state per cell, in cell order.
-    pub states: Vec<Vec<u8>>,
-}
-
-/// A fully validated version-2 (matrix) checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatrixCheckpoint {
-    /// Matrix identity the file was created with.
-    pub fingerprint: u64,
-    /// Population size the file was created with.
-    pub total_items: u64,
-    /// Cell count every record carries.
-    pub cells: u32,
-    /// The last committed record; `None` for a header-only file.
-    pub last: Option<MatrixCheckpointRecord>,
-}
-
-impl MatrixCheckpoint {
-    /// Checks the file belongs to the matrix asking to resume.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::FingerprintMismatch`] /
-    /// [`CheckpointError::TotalMismatch`] /
-    /// [`CheckpointError::CellsMismatch`] when it does not.
-    pub fn verify(
-        &self,
-        fingerprint: u64,
-        total_items: u64,
-        cells: u32,
-    ) -> Result<(), CheckpointError> {
-        if self.fingerprint != fingerprint {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected: fingerprint,
-                found: self.fingerprint,
-            });
-        }
-        if self.total_items != total_items {
-            return Err(CheckpointError::TotalMismatch {
-                expected: total_items,
-                found: self.total_items,
-            });
-        }
-        if self.cells != cells {
-            return Err(CheckpointError::CellsMismatch {
-                expected: cells,
-                found: self.cells,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Append-only writer for a version-2 (matrix) checkpoint file.
-#[derive(Debug)]
-pub struct MatrixCheckpointWriter {
-    file: File,
-    last_chunks_done: u64,
-    cells: u32,
-}
-
-impl MatrixCheckpointWriter {
-    /// Creates (truncating) a matrix checkpoint file and writes its
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn create(
-        path: &Path,
-        fingerprint: u64,
-        total_items: u64,
-        cells: u32,
-    ) -> Result<MatrixCheckpointWriter, CheckpointError> {
-        let mut header = Vec::with_capacity(MATRIX_HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&MATRIX_VERSION.to_le_bytes());
-        header.extend_from_slice(&fingerprint.to_le_bytes());
-        header.extend_from_slice(&total_items.to_le_bytes());
-        header.extend_from_slice(&cells.to_le_bytes());
-        let crc = crc32(&header);
-        header.extend_from_slice(&crc.to_le_bytes());
-        let mut file = File::create(path)?;
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(MatrixCheckpointWriter {
-            file,
-            last_chunks_done: 0,
-            cells,
-        })
-    }
-
-    /// Appends one committed multi-cell record (a single `write` +
-    /// flush, like the single-cell writer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks_done` does not increase monotonically or
-    /// `states` does not match the header's cell count — both hold by
-    /// construction in the commit engine.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn append(&mut self, chunks_done: u64, states: &[Vec<u8>]) -> Result<(), CheckpointError> {
-        assert!(
-            chunks_done > self.last_chunks_done,
-            "checkpoint records must advance: {} after {}",
-            chunks_done,
-            self.last_chunks_done
-        );
-        assert_eq!(
-            states.len(),
-            self.cells as usize,
-            "matrix record must carry one state per cell"
-        );
-        let body_len = 8 + states.iter().map(|s| 4 + s.len()).sum::<usize>();
-        let mut record = Vec::with_capacity(body_len + 4);
-        record.extend_from_slice(&chunks_done.to_le_bytes());
-        for state in states {
-            let state_len = u32::try_from(state.len())
-                .map_err(|_| CheckpointError::Decode("state too large"))?;
-            record.extend_from_slice(&state_len.to_le_bytes());
-            record.extend_from_slice(state);
-        }
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&record)?;
-        self.file.flush()?;
-        self.last_chunks_done = chunks_done;
-        Ok(())
-    }
-}
-
-/// Reads and fully validates a version-2 (matrix) checkpoint file,
-/// with the same strictness as [`read_checkpoint`].
-///
-/// # Errors
-///
-/// As [`read_checkpoint`]; a version-1 file is
-/// [`CheckpointError::BadVersion`]`(1)`.
 pub fn read_matrix_checkpoint(path: &Path) -> Result<MatrixCheckpoint, CheckpointError> {
     let data = std::fs::read(path)?;
     parse_matrix_checkpoint(&data)
@@ -635,16 +456,15 @@ fn parse_matrix_checkpoint(data: &[u8]) -> Result<MatrixCheckpoint, CheckpointEr
         return Err(CheckpointError::Corrupt("truncated header"));
     }
     // Version before length: a well-formed version-1 file is shorter
-    // than a matrix header, and must report the version mismatch, not
-    // truncation.
+    // than this header, and must report the version, not truncation.
     let version = field_u32(4);
-    if version != MATRIX_VERSION {
+    if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    if data.len() < MATRIX_HEADER_LEN {
+    if data.len() < HEADER_LEN {
         return Err(CheckpointError::Corrupt("truncated header"));
     }
-    if crc32(&data[..MATRIX_HEADER_LEN - 4]) != field_u32(MATRIX_HEADER_LEN - 4) {
+    if crc32(&data[..HEADER_LEN - 4]) != field_u32(HEADER_LEN - 4) {
         return Err(CheckpointError::Corrupt("header CRC mismatch"));
     }
     let fingerprint = field_u64(8);
@@ -652,7 +472,7 @@ fn parse_matrix_checkpoint(data: &[u8]) -> Result<MatrixCheckpoint, CheckpointEr
     let cells = field_u32(24);
 
     let mut last: Option<MatrixCheckpointRecord> = None;
-    let mut at = MATRIX_HEADER_LEN;
+    let mut at = HEADER_LEN;
     while at < data.len() {
         let start = at;
         if data.len() - at < 8 {
@@ -660,7 +480,10 @@ fn parse_matrix_checkpoint(data: &[u8]) -> Result<MatrixCheckpoint, CheckpointEr
         }
         let chunks_done = field_u64(at);
         at += 8;
-        let mut states = Vec::with_capacity(cells as usize);
+        // Every state costs at least its 4-byte length, so the bytes
+        // left bound the count a genuine record can hold — a crafted
+        // header cannot demand more memory than the file could fill.
+        let mut states = Vec::with_capacity((cells as usize).min((data.len() - at) / 4));
         for _ in 0..cells {
             if data.len() - at < 4 {
                 return Err(CheckpointError::Corrupt("truncated record"));
@@ -696,8 +519,8 @@ fn parse_matrix_checkpoint(data: &[u8]) -> Result<MatrixCheckpoint, CheckpointEr
     })
 }
 
-/// Opens an existing matrix checkpoint for resuming: validates the
-/// whole file, then returns it with a writer positioned to append.
+/// Opens an existing checkpoint for resuming: validates the whole
+/// file, then returns it with a writer positioned to append.
 ///
 /// # Errors
 ///
@@ -748,118 +571,12 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_header_and_records() {
-        let path = tmp("roundtrip");
-        let mut w = CheckpointWriter::create(&path, 0xDEAD_BEEF, 1000).unwrap();
-        w.append(3, &[1, 2, 3]).unwrap();
-        w.append(7, &[4, 5]).unwrap();
-        let cp = read_checkpoint(&path).unwrap();
-        assert_eq!(cp.fingerprint, 0xDEAD_BEEF);
-        assert_eq!(cp.total_items, 1000);
-        cp.verify(0xDEAD_BEEF, 1000).unwrap();
-        let last = cp.last.unwrap();
-        assert_eq!(last.chunks_done, 7);
-        assert_eq!(last.state, vec![4, 5]);
-        assert!(matches!(
-            read_checkpoint(&path).unwrap().verify(1, 1000),
-            Err(CheckpointError::FingerprintMismatch { .. })
-        ));
-        assert!(matches!(
-            read_checkpoint(&path).unwrap().verify(0xDEAD_BEEF, 999),
-            Err(CheckpointError::TotalMismatch { .. })
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn header_only_file_has_no_record() {
-        let path = tmp("header-only");
-        CheckpointWriter::create(&path, 7, 10).unwrap();
-        let cp = read_checkpoint(&path).unwrap();
-        assert_eq!(cp.last, None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn resume_writer_appends_after_existing_records() {
-        let path = tmp("resume-append");
-        let mut w = CheckpointWriter::create(&path, 9, 50).unwrap();
-        w.append(2, &[10]).unwrap();
-        drop(w);
-        let (cp, mut w) = open_for_resume(&path).unwrap();
-        assert_eq!(cp.last.as_ref().unwrap().chunks_done, 2);
-        w.append(5, &[20]).unwrap();
-        let cp = read_checkpoint(&path).unwrap();
-        assert_eq!(cp.last.unwrap().chunks_done, 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "must advance")]
-    fn writer_rejects_non_monotonic_records() {
-        let path = tmp("non-monotonic");
-        let mut w = CheckpointWriter::create(&path, 1, 10).unwrap();
-        w.append(4, &[]).unwrap();
-        let _ = w.append(4, &[]);
-    }
-
-    #[test]
-    fn damage_is_rejected_not_salvaged() {
-        let path = tmp("damage");
-        let mut w = CheckpointWriter::create(&path, 11, 64).unwrap();
-        w.append(1, &[9; 40]).unwrap();
-        w.append(2, &[8; 40]).unwrap();
-        drop(w);
-        let good = std::fs::read(&path).unwrap();
-
-        // Flip one byte inside the last record's state.
-        let mut bad = good.clone();
-        let n = bad.len();
-        bad[n - 10] ^= 0xFF;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::Corrupt("record CRC mismatch"))
-        ));
-
-        // Truncate mid-record.
-        std::fs::write(&path, &good[..n - 7]).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::Corrupt("truncated record"))
-        ));
-
-        // Not a checkpoint at all.
-        std::fs::write(&path, b"definitely not a checkpoint").unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::BadMagic)
-        ));
-
-        // Wrong version.
-        let mut versioned = good.clone();
-        versioned[4] = 99;
-        std::fs::write(&path, &versioned).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::BadVersion(99))
-        ));
-
-        // Header CRC mismatch (restore version, corrupt fingerprint).
-        let mut torn = good;
-        torn[9] ^= 0x01;
-        std::fs::write(&path, &torn).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::Corrupt("header CRC mismatch"))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn matrix_round_trips_per_cell_states() {
         let path = tmp("matrix-roundtrip");
         let mut w = MatrixCheckpointWriter::create(&path, 0xFACE, 500, 3).unwrap();
+        // A header-only file (created, cancelled before the first
+        // commit) carries no record.
+        assert_eq!(read_matrix_checkpoint(&path).unwrap().last, None);
         w.append(2, &[vec![1], vec![2, 2], vec![]]).unwrap();
         w.append(5, &[vec![9], vec![8, 8], vec![7]]).unwrap();
         let cp = read_matrix_checkpoint(&path).unwrap();
@@ -870,6 +587,20 @@ mod tests {
             Err(CheckpointError::CellsMismatch {
                 expected: 4,
                 found: 3
+            })
+        ));
+        assert!(matches!(
+            cp.verify(1, 500, 3),
+            Err(CheckpointError::FingerprintMismatch {
+                expected: 1,
+                found: 0xFACE
+            })
+        ));
+        assert!(matches!(
+            cp.verify(0xFACE, 499, 3),
+            Err(CheckpointError::TotalMismatch {
+                expected: 499,
+                found: 500
             })
         ));
         let last = cp.last.unwrap();
@@ -893,21 +624,52 @@ mod tests {
     }
 
     #[test]
-    fn matrix_and_single_cell_formats_reject_each_other() {
-        let single = tmp("v1-for-v2");
-        CheckpointWriter::create(&single, 1, 10).unwrap();
+    #[should_panic(expected = "must advance")]
+    fn matrix_writer_rejects_non_monotonic_records() {
+        let path = tmp("matrix-non-monotonic");
+        let mut w = MatrixCheckpointWriter::create(&path, 1, 10, 1).unwrap();
+        w.append(4, &[vec![]]).unwrap();
+        let _ = w.append(4, &[vec![]]);
+    }
+
+    #[test]
+    fn one_cell_view_reads_only_one_cell_files() {
+        let one = tmp("one-cell");
+        let mut w = MatrixCheckpointWriter::create(&one, 0xBEEF, 40, 1).unwrap();
+        assert_eq!(read_checkpoint(&one).unwrap().last, None);
+        w.append(2, &[vec![3, 4]]).unwrap();
+        let cp = read_checkpoint(&one).unwrap();
+        assert_eq!((cp.fingerprint, cp.total_items), (0xBEEF, 40));
+        assert_eq!(
+            cp.last,
+            Some(CheckpointRecord {
+                chunks_done: 2,
+                state: vec![3, 4]
+            })
+        );
+        let two = tmp("two-cell");
+        MatrixCheckpointWriter::create(&two, 1, 10, 2).unwrap();
         assert!(matches!(
-            read_matrix_checkpoint(&single),
-            Err(CheckpointError::BadVersion(1))
+            read_checkpoint(&two),
+            Err(CheckpointError::CellsMismatch {
+                expected: 1,
+                found: 2
+            })
         ));
-        let matrix = tmp("v2-for-v1");
-        MatrixCheckpointWriter::create(&matrix, 1, 10, 2).unwrap();
-        assert!(matches!(
-            read_checkpoint(&matrix),
-            Err(CheckpointError::BadVersion(2))
-        ));
-        std::fs::remove_file(&single).ok();
-        std::fs::remove_file(&matrix).ok();
+        std::fs::remove_file(&one).ok();
+        std::fs::remove_file(&two).ok();
+    }
+
+    /// A retired version-1 header (magic, version 1, fingerprint,
+    /// total, CRC) — well-formed in its own format.
+    fn v1_header() -> Vec<u8> {
+        let mut h = MAGIC.to_vec();
+        h.extend_from_slice(&1u32.to_le_bytes());
+        h.extend_from_slice(&7u64.to_le_bytes());
+        h.extend_from_slice(&10u64.to_le_bytes());
+        let crc = crc32(&h);
+        h.extend_from_slice(&crc.to_le_bytes());
+        h
     }
 
     #[test]
@@ -918,21 +680,66 @@ mod tests {
         drop(w);
         let good = std::fs::read(&path).unwrap();
         let n = good.len();
+        let parse = |bytes: &[u8]| parse_matrix_checkpoint(bytes);
 
         let mut bad = good.clone();
         bad[n - 10] ^= 0xFF;
-        std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            read_matrix_checkpoint(&path),
+            parse(&bad),
             Err(CheckpointError::Corrupt("record CRC mismatch"))
         ));
 
-        std::fs::write(&path, &good[..n - 7]).unwrap();
         assert!(matches!(
-            read_matrix_checkpoint(&path),
+            parse(&good[..n - 7]),
             Err(CheckpointError::Corrupt("truncated record"))
         ));
+
+        // Not a checkpoint at all.
+        assert!(matches!(
+            parse(b"definitely not a checkpoint"),
+            Err(CheckpointError::BadMagic)
+        ));
+
+        // Unknown version, and the retired version 1.
+        let mut versioned = good.clone();
+        versioned[4] = 99;
+        assert!(matches!(
+            parse(&versioned),
+            Err(CheckpointError::BadVersion(99))
+        ));
+        assert!(matches!(
+            parse(&v1_header()),
+            Err(CheckpointError::BadVersion(1))
+        ));
+
+        // Header CRC mismatch (corrupt the fingerprint).
+        let mut torn = good;
+        torn[9] ^= 0x01;
+        assert!(matches!(
+            parse(&torn),
+            Err(CheckpointError::Corrupt("header CRC mismatch"))
+        ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_huge_cell_count_is_bounded_by_the_file_not_allocated() {
+        // A CRC-valid header claiming u32::MAX cells, then a short
+        // record: the reader must report the truncation instead of
+        // reserving space for four billion states up front.
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&VERSION.to_le_bytes());
+        data.extend_from_slice(&1u64.to_le_bytes());
+        data.extend_from_slice(&10u64.to_le_bytes());
+        data.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&data);
+        data.extend_from_slice(&crc.to_le_bytes());
+        data.extend_from_slice(&1u64.to_le_bytes());
+        data.extend_from_slice(&[0; 12]);
+        assert!(matches!(
+            parse_matrix_checkpoint(&data),
+            Err(CheckpointError::Corrupt("truncated record"))
+        ));
     }
 
     #[test]

@@ -984,8 +984,7 @@ FLAGS:
                          commits); pair with --checkpoint to resume
     --profile-phases     append the batched hot path's per-phase wall
                          time (die draw, fixed lane, word settle,
-                         adaptive lanes, dither settle, plus the
-                         matrix engine's shared draw and fault walk)
+                         adaptive lanes, dither settle, fault walk)
                          to the report — pure observation, results
                          unchanged
     --profile-phases-json <file>    write the same per-phase profile
@@ -1270,13 +1269,12 @@ mod tests {
 
     #[test]
     fn savings_on_the_buck_supply_books_converter_loss() {
-        // Both the new spelling and the deprecated alias reach the
-        // converter-backed scenario.
-        for raw in ["buck", "switched"] {
-            let s = parse(&["savings", "--supply", raw]).unwrap().run().unwrap();
-            assert!(s.contains("buck supply (closed-form solver)"), "{s}");
-            assert!(s.contains("converter loss"), "{s}");
-        }
+        let s = parse(&["savings", "--supply", "buck"])
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(s.contains("buck supply (closed-form solver)"), "{s}");
+        assert!(s.contains("converter loss"), "{s}");
     }
 
     #[test]
@@ -1317,14 +1315,9 @@ mod tests {
         .unwrap();
         assert_eq!(out.replace("2 jobs", "1 jobs"), serial);
 
-        // The deprecated alias is the same study, byte for byte.
-        let alias = parse(&[
-            "yield", "--dies", "24", "--supply", "switched", "--jobs", "1", "--seed", "9",
-        ])
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(alias, serial);
+        // The retired `switched` spelling is an unknown supply now.
+        let e = parse(&["yield", "--dies", "24", "--supply", "switched"]).unwrap_err();
+        assert!(e.to_string().contains("unknown supply `switched`"), "{e}");
     }
 
     #[test]
@@ -1431,15 +1424,12 @@ mod tests {
 
         let json = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        assert!(json.contains("subvt-phase-profile-v1"), "{json}");
-        for key in [
-            "shared_draw_nanos",
-            "fault_walk_nanos",
-            "draw_nanos",
-            "total_nanos",
-        ] {
+        assert!(json.contains("subvt-phase-profile-v2"), "{json}");
+        for key in ["fault_walk_nanos", "draw_nanos", "total_nanos"] {
             assert!(json.contains(key), "missing {key}: {json}");
         }
+        // One draw phase: the retired `shared draw` counter is gone.
+        assert!(!json.contains("shared_draw"), "{json}");
     }
 
     #[test]

@@ -140,10 +140,9 @@ fn nothing_in_the_tree_still_names_a_legacy_entry_point() {
 
 #[test]
 fn every_supply_backend_kind_is_spelled_in_the_cli_help() {
-    // `--supply` must advertise exactly the four canonical spellings.
-    // The retired `switched` alias still *parses* (scripts keep
-    // working, checkpoint fingerprints stay compatible) but is no
-    // longer advertised anywhere a user reads.
+    // `--supply` must advertise exactly the four canonical spellings,
+    // and the retired `switched` alias is gone from the parser as well
+    // as from everything a user reads.
     let study = source("crates/subvt-core/src/study.rs");
     for spelling in ["ideal", "buck", "dldo", "dlr"] {
         assert!(
@@ -151,15 +150,15 @@ fn every_supply_backend_kind_is_spelled_in_the_cli_help() {
             "STUDY_HELP no longer documents the `{spelling}` supply spelling"
         );
     }
-    // The alias survives in the parser (exactly the `"buck" |
-    // "switched"` arm) so old invocations and fingerprints keep
-    // resolving...
+    // The parser arm is `"buck"` alone: `switched` gets the ordinary
+    // unknown-supply error.
     assert!(
-        study.contains(r#""buck" | "switched""#),
-        "the `switched` parse alias was dropped — old scripts and \
-         checkpoint fingerprints would break"
+        study.contains(r#""buck" => Ok(SupplyBackendKind::Buck)"#)
+            && !study.contains(r#""switched" =>"#)
+            && !study.contains(r#"| "switched""#),
+        "the `switched` parse alias is back in the --supply parser"
     );
-    // ...but the user-facing help text must not mention it.
+    // Nor may the user-facing help text mention it.
     let after_help = &study[study.find("STUDY_HELP").expect("STUDY_HELP const")..];
     let help_text = &after_help[..after_help.find("\";").expect("help terminator")];
     assert!(

@@ -268,43 +268,6 @@ fn a_checkpoint_written_under_one_backend_rejects_resume_under_another() {
 }
 
 #[test]
-fn the_switched_alias_resumes_a_buck_checkpoint() {
-    // `--supply switched` is a deprecated spelling of `--supply buck`;
-    // both parse to the same backend kind, so a checkpoint written
-    // under one spelling must resume under the other.
-    let buck: subvt_core::SupplyBackendKind = "buck".parse().unwrap();
-    let alias: subvt_core::SupplyBackendKind = "switched".parse().unwrap();
-    assert_eq!(buck, alias);
-    let file = ScratchFile::new("switched-alias");
-    let token = CancelToken::new();
-    let watch_token = token.clone();
-    let watch = move |p: Progress| {
-        if p.done as u64 >= (DIES / 2) as u64 {
-            watch_token.cancel();
-        }
-    };
-    let killed = config(DIES)
-        .supply_backend(buck)
-        .exec(ExecConfig::with_jobs(1))
-        .checkpoint(&file.0)
-        .cancel(&token)
-        .progress(&watch)
-        .try_run_summary();
-    assert!(matches!(killed, Err(StudyError::Cancelled)), "{killed:?}");
-    let resumed = config(DIES)
-        .supply_backend(alias)
-        .checkpoint(&file.0)
-        .run_summary();
-    assert_eq!(
-        resumed.encode_state(),
-        config(DIES)
-            .supply_backend(buck)
-            .run_summary()
-            .encode_state()
-    );
-}
-
-#[test]
 fn a_corrupt_checkpoint_is_rejected_not_silently_restarted() {
     let file = ScratchFile::new("corrupt");
     std::fs::write(&file.0, b"not a checkpoint at all").unwrap();

@@ -259,12 +259,14 @@ fn regulated_supply_yield_studies_are_bit_identical_across_job_counts() {
         SupplyBackendKind::Dlr,
     ] {
         let reference = StudyConfig::new(120, 77)
-            .supply(kind.build_sim(SolverMode::ClosedForm))
+            .supply_backend(kind)
+            .solver(SolverMode::ClosedForm)
             .exec(ExecConfig::serial())
             .run();
         for jobs in [2usize, 7] {
             let parallel = StudyConfig::new(120, 77)
-                .supply(kind.build_sim(SolverMode::ClosedForm))
+                .supply_backend(kind)
+                .solver(SolverMode::ClosedForm)
                 .exec(ExecConfig::with_jobs(jobs))
                 .run();
             assert_eq!(
@@ -278,10 +280,9 @@ fn regulated_supply_yield_studies_are_bit_identical_across_job_counts() {
                 mc_stats_text(&parallel).into_bytes()
             );
         }
-        // The kind-built path (what `--supply` uses) and an explicitly
-        // built model agree bit-for-bit.
-        let by_kind = StudyConfig::new(120, 77).supply_backend(kind).run();
-        assert_eq!(reference, by_kind, "{} kind vs model", kind.label());
+        // The default solver is the closed form the reference names.
+        let by_default = StudyConfig::new(120, 77).supply_backend(kind).run();
+        assert_eq!(reference, by_default, "{} default solver", kind.label());
     }
 }
 

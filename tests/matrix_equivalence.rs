@@ -1,19 +1,22 @@
 //! The study-matrix byte-identity contract: every cell of a fused
-//! [`StudyMatrix`] run must produce the exact `encode_state` bytes of
-//! running that cell alone through `StudyConfig::run_summary` /
-//! `run_faults` — per-die RNG forks, sense sequences and fault
-//! schedules must not observe that other cells exist — at any worker
-//! count or sub-batch size. And a matrix checkpoint killed mid-run
-//! must resume to both the same results *and* the same checkpoint file
-//! bytes as a run that was never interrupted.
+//! [`StudyMatrix`] run must equal an independent reference — the
+//! scalar per-die `StudyConfig::run().summarize()` for the yield
+//! aggregate of every cell — and a fault cell's full `encode_state`
+//! bytes must equal the same cell run alone (`run_faults`, a one-cell
+//! matrix): per-die RNG forks, sense sequences and fault schedules
+//! must not observe that other cells exist, at any worker count or
+//! sub-batch size. A matrix checkpoint killed mid-run must resume to
+//! both the same results *and* the same checkpoint file bytes as a run
+//! that was never interrupted.
 
 use std::path::PathBuf;
 
-use subvt_core::matrix::{MatrixCell, StudyMatrix};
+use subvt_core::matrix::{CellSummary, MatrixCell, StudyMatrix};
 use subvt_core::study::{StudyConfig, StudyError, SupplyBackendKind};
 use subvt_core::FaultPlan;
 use subvt_device::corner::ProcessCorner;
 use subvt_device::mosfet::Environment;
+use subvt_exec::checkpoint::CheckpointError;
 use subvt_exec::{CancelToken, ExecConfig, Progress};
 
 const DIES: usize = 90;
@@ -47,21 +50,37 @@ fn matrix_of<'a>(cells: &[MatrixCell], base: StudyConfig<'a>) -> StudyMatrix<'a>
     })
 }
 
-/// The standalone (single-cell) reference bytes for one cell.
-fn standalone_state(cell: &MatrixCell) -> Vec<u8> {
+/// The reference bytes for one cell: `(yield, full)`. The yield
+/// aggregate comes from the scalar per-die path, which shares no
+/// scoring code with the matrix engine. A fault cell's full state has
+/// no scalar terminal, so it is the cell run alone — the cross-cell
+/// isolation witness.
+fn standalone_state(cell: &MatrixCell) -> (Vec<u8>, Option<Vec<u8>>) {
     let cfg = StudyConfig::new(DIES, SEED)
         .supply_backend(cell.supply)
         .env(cell.env);
     match cell.faults {
-        None => cfg.run_summary().encode_state(),
-        Some(plan) => cfg.faults(plan).run_faults().encode_state(),
+        None => (cfg.run().summarize().encode_state(), None),
+        Some(plan) => {
+            let cfg = cfg.faults(plan);
+            let scalar = cfg.run().summarize().encode_state();
+            (scalar, Some(cfg.run_faults().encode_state()))
+        }
+    }
+}
+
+/// The yield aggregate of a cell result, as encoded bytes.
+fn yield_state(cell: &CellSummary) -> Vec<u8> {
+    match cell {
+        CellSummary::Yield(s) => s.encode_state(),
+        CellSummary::Faults(s) => s.base.encode_state(),
     }
 }
 
 #[test]
 fn every_cell_is_byte_identical_to_its_standalone_run() {
     let cells = shootout_cells();
-    let references: Vec<Vec<u8>> = cells.iter().map(standalone_state).collect();
+    let references: Vec<(Vec<u8>, Option<Vec<u8>>)> = cells.iter().map(standalone_state).collect();
     for (jobs, batch) in [
         (1usize, 1usize),
         (1, 32),
@@ -81,15 +100,17 @@ fn every_cell_is_byte_identical_to_its_standalone_run() {
         )
         .run();
         assert_eq!(fused.len(), cells.len());
-        for (i, (got, want)) in fused.iter().zip(&references).enumerate() {
-            assert_eq!(
-                &got.encode_state(),
-                want,
-                "cell {i} ({:?} {:?} faults={}) diverged at jobs={jobs} batch={batch}",
+        for (i, (got, (scalar, alone))) in fused.iter().zip(&references).enumerate() {
+            let what = format!(
+                "cell {i} ({:?} {:?} faults={}) at jobs={jobs} batch={batch}",
                 cells[i].supply,
                 cells[i].env.corner,
                 cells[i].faults.is_some(),
             );
+            assert_eq!(&yield_state(got), scalar, "{what}: diverged from scalar");
+            if let Some(alone) = alone {
+                assert_eq!(&got.encode_state(), alone, "{what}: diverged from lone run");
+            }
         }
     }
 }
@@ -100,11 +121,15 @@ fn a_zero_rate_fault_cell_matches_the_standalone_zero_rate_study() {
     // schedule; the matrix replay must still hand the walk the exact
     // stream the standalone fork does.
     let plan = FaultPlan::uniform(0.0);
-    let standalone = StudyConfig::new(DIES, SEED).faults(plan).run_faults();
+    let scalar = StudyConfig::new(DIES, SEED)
+        .faults(plan)
+        .run()
+        .summarize()
+        .encode_state();
     let fused = StudyMatrix::new(StudyConfig::new(DIES, SEED))
         .cell(SupplyBackendKind::Ideal, Environment::nominal(), Some(plan))
         .run();
-    assert_eq!(fused[0].encode_state(), standalone.encode_state());
+    assert_eq!(yield_state(&fused[0]), scalar);
 }
 
 /// A unique scratch path inside the temp dir, removed on drop.
@@ -215,30 +240,57 @@ fn a_matrix_checkpoint_rejects_a_reordered_or_reshaped_matrix() {
 }
 
 #[test]
-fn matrix_and_single_cell_checkpoints_reject_each_other() {
-    // A v1 (single-cell) file must not resume a matrix and vice versa:
-    // the formats are versioned, not guessed.
-    let single = ScratchFile::new("v1");
+fn a_v1_file_and_a_wrong_cell_count_are_typed_checkpoint_errors() {
+    // Version 2 is the only checkpoint format: a retired version-1
+    // header is refused by its version (read before anything else) by
+    // both the standalone and the matrix terminal.
+    let v1 = ScratchFile::new("v1");
+    let mut header = b"SVCP".to_vec();
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&[0; 16]);
+    header.extend_from_slice(&[0; 4]);
+    std::fs::write(&v1.0, &header).unwrap();
+    let r = StudyConfig::new(DIES, SEED)
+        .checkpoint(&v1.0)
+        .try_run_summary();
+    assert!(
+        matches!(
+            r,
+            Err(StudyError::Checkpoint(CheckpointError::BadVersion(1)))
+        ),
+        "standalone resume of a v1 file, got {r:?}"
+    );
+    let r = matrix_of(
+        &shootout_cells(),
+        StudyConfig::new(DIES, SEED).checkpoint(&v1.0),
+    )
+    .try_run();
+    assert!(
+        matches!(
+            r,
+            Err(StudyError::Checkpoint(CheckpointError::BadVersion(1)))
+        ),
+        "matrix resume of a v1 file, got {r:?}"
+    );
+
+    // A one-cell study's file cannot resume the 18-cell matrix.
+    let single = ScratchFile::new("one-cell");
     let _ = StudyConfig::new(DIES, SEED)
         .checkpoint(&single.0)
         .run_summary();
-    let r = StudyMatrix::new(StudyConfig::new(DIES, SEED).checkpoint(&single.0))
-        .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
-        .try_run();
+    let r = matrix_of(
+        &shootout_cells(),
+        StudyConfig::new(DIES, SEED).checkpoint(&single.0),
+    )
+    .try_run();
     assert!(
-        matches!(r, Err(StudyError::Checkpoint(_))),
-        "matrix resume of a v1 file must be rejected, got {r:?}"
-    );
-
-    let matrix = ScratchFile::new("v2");
-    let _ = StudyMatrix::new(StudyConfig::new(DIES, SEED).checkpoint(&matrix.0))
-        .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
-        .run();
-    let r = StudyConfig::new(DIES, SEED)
-        .checkpoint(&matrix.0)
-        .try_run_summary();
-    assert!(
-        matches!(r, Err(StudyError::Checkpoint(_))),
-        "single-cell resume of a matrix file must be rejected, got {r:?}"
+        matches!(
+            r,
+            Err(StudyError::Checkpoint(CheckpointError::CellsMismatch {
+                expected: 18,
+                found: 1
+            }))
+        ),
+        "matrix resume of a one-cell file, got {r:?}"
     );
 }
