@@ -11,9 +11,12 @@
 //!
 //! Like those metrics, the counters are process-global relaxed
 //! atomics: pure observation, never part of the determinism contract.
-//! Under `--jobs N` the workers' phase times add, so the totals are
-//! CPU time, not elapsed time. One `Instant` pair per phase per
-//! sub-batch keeps the overhead far below timer resolution.
+//! Each worker times its phases with a wall clock (`Instant`), and
+//! under `--jobs N` the workers' times add, so the totals are worker
+//! wall time summed over workers: neither elapsed time nor CPU time (a
+//! worker descheduled mid-phase still counts the wait). One `Instant`
+//! pair per phase per sub-batch keeps the overhead far below timer
+//! resolution.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

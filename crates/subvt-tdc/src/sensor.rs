@@ -28,6 +28,10 @@ use subvt_digital::lut::VoltageWord;
 use crate::delay_line::{CellKind, DelayLine};
 use crate::quantizer::{Quantizer, RefClock};
 
+/// Dies per stack buffer in the lane senses: the default sub-batch
+/// size, so a default-sized lane is one device-kernel call.
+const LANE_CHUNK: usize = 32;
+
 /// Sensor geometry and calibration parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorConfig {
@@ -466,7 +470,8 @@ impl VariationSensor {
     /// return; the replica-cell delays come from the evaluator's fused
     /// [`DeviceEval::gate_delay_pair_lane`] kernel, and the per-die
     /// quantize/encode/classify steps stay scalar (they are integer
-    /// bit-twiddling, not float work).
+    /// bit-twiddling, not float work). The lane runs in chunks of 32
+    /// dies through a stack buffer, so the call does not allocate.
     ///
     /// # Panics
     ///
@@ -493,28 +498,36 @@ impl VariationSensor {
         let band = self.band(word)?;
         match self.line.cell() {
             CellKind::InvNor => {
-                let mut pairs = vec![(Seconds(0.0), Seconds(0.0)); mismatches.len()];
-                match eval.gate_delay_pair_lane(
-                    (GateKind::Inverter, GateKind::Nor2),
-                    actual_vdd,
-                    env,
-                    mismatches,
-                    1.0,
-                    &mut pairs,
-                ) {
-                    Ok(()) => {
-                        for (o, (inv, nor)) in out.iter_mut().zip(&pairs) {
-                            *o = self.classify(word, Self::encode_cell(band, *inv + *nor));
+                let mut pairs = [(Seconds(0.0), Seconds(0.0)); LANE_CHUNK];
+                for (mms, outs) in mismatches
+                    .chunks(LANE_CHUNK)
+                    .zip(out.chunks_mut(LANE_CHUNK))
+                {
+                    let pairs = &mut pairs[..mms.len()];
+                    match eval.gate_delay_pair_lane(
+                        (GateKind::Inverter, GateKind::Nor2),
+                        actual_vdd,
+                        env,
+                        mms,
+                        1.0,
+                        pairs,
+                    ) {
+                        Ok(()) => {
+                            for (o, (inv, nor)) in outs.iter_mut().zip(pairs.iter()) {
+                                *o = self.classify(word, Self::encode_cell(band, *inv + *nor));
+                            }
                         }
-                    }
-                    Err(_) => {
-                        // Below the functional floor the replica never
-                        // toggles: every die captures an empty word —
-                        // the same die-independent mapping
-                        // `measure_with` applies.
-                        for o in out.iter_mut() {
-                            *o = self
-                                .classify(word, Err(SenseError::Unreliable(EncodeError::Empty)));
+                        Err(_) => {
+                            // Below the functional floor the replica
+                            // never toggles: every die captures an
+                            // empty word — the same die-independent
+                            // mapping `measure_with` applies.
+                            for o in outs.iter_mut() {
+                                *o = self.classify(
+                                    word,
+                                    Err(SenseError::Unreliable(EncodeError::Empty)),
+                                );
+                            }
                         }
                     }
                 }
@@ -534,7 +547,9 @@ impl VariationSensor {
     /// `out[i]` is exactly what
     /// `sense_fractional_with(eval, word, vdds[i], env, mismatches[i])`
     /// would return; per-die below-floor supplies classify as empty
-    /// words, exactly as in the scalar path.
+    /// words, exactly as in the scalar path. Like
+    /// [`VariationSensor::sense_lane_with`], it runs in chunks of 32
+    /// dies through a stack buffer and does not allocate.
     ///
     /// # Panics
     ///
@@ -565,21 +580,28 @@ impl VariationSensor {
         let band = self.band(word)?;
         match self.line.cell() {
             CellKind::InvNor => {
-                let mut pairs = vec![None; vdds.len()];
-                eval.gate_delay_pair_multi(
-                    (GateKind::Inverter, GateKind::Nor2),
-                    vdds,
-                    env,
-                    mismatches,
-                    1.0,
-                    &mut pairs,
-                );
-                for (o, p) in out.iter_mut().zip(&pairs) {
-                    let measured = match p {
-                        Some((inv, nor)) => Self::encode_cell(band, *inv + *nor),
-                        None => Err(SenseError::Unreliable(EncodeError::Empty)),
-                    };
-                    *o = self.classify_fractional(word, measured);
+                let mut pairs = [None; LANE_CHUNK];
+                for ((vs, mms), outs) in vdds
+                    .chunks(LANE_CHUNK)
+                    .zip(mismatches.chunks(LANE_CHUNK))
+                    .zip(out.chunks_mut(LANE_CHUNK))
+                {
+                    let pairs = &mut pairs[..vs.len()];
+                    eval.gate_delay_pair_multi(
+                        (GateKind::Inverter, GateKind::Nor2),
+                        vs,
+                        env,
+                        mms,
+                        1.0,
+                        pairs,
+                    );
+                    for (o, p) in outs.iter_mut().zip(pairs.iter()) {
+                        let measured = match p {
+                            Some((inv, nor)) => Self::encode_cell(band, *inv + *nor),
+                            None => Err(SenseError::Unreliable(EncodeError::Empty)),
+                        };
+                        *o = self.classify_fractional(word, measured);
+                    }
                 }
             }
             CellKind::Inverter => {
@@ -943,8 +965,9 @@ mod tests {
         let analytic = AnalyticEval::new(&tech);
         let tabulated = TabulatedEval::new(&tech);
         let evals: [&dyn DeviceEval; 2] = [&analytic, &tabulated];
-        // Lane lengths covering full chunks and every ragged tail,
-        // with mismatches spanning nominal, slow, fast and wild dies.
+        // Lane lengths covering full chunks and every ragged tail, of
+        // the 4-wide kernels and of the 32-die sense chunks, with
+        // mismatches spanning nominal, slow, fast and wild dies.
         let draws = [0.0, 0.013, -0.021, 0.2, 0.004, -0.0087, 0.0123];
         for eval in evals {
             for env in [Environment::nominal(), Environment::at_celsius(85.0)] {
@@ -953,9 +976,11 @@ mod tests {
                     (12, word_voltage(13)),
                     (47, Volts(0.9)),
                 ] {
-                    for len in [1, 2, 3, 4, 5, 7] {
-                        let mms: Vec<GateMismatch> = draws[..len]
+                    for len in [1, 2, 3, 4, 5, 7, 33, 71] {
+                        let mms: Vec<GateMismatch> = draws
                             .iter()
+                            .cycle()
+                            .take(len)
                             .map(|&d| GateMismatch {
                                 nmos_dvth: Volts(d),
                                 pmos_dvth: Volts(d * 0.5),
@@ -1006,15 +1031,23 @@ mod tests {
         let analytic = AnalyticEval::new(&tech);
         let tabulated = TabulatedEval::new(&tech);
         let evals: [&dyn DeviceEval; 2] = [&analytic, &tabulated];
-        let vdds = [
+        // 71 dies: two full 32-die sense chunks and a ragged one, with
+        // a below-floor die in each.
+        let vdds: Vec<Volts> = [
             word_voltage(19),
             Volts(0.01), // below the floor → empty word → −range
             Volts(0.3601),
             Volts(0.3389),
             Volts(1.18),
-        ];
-        let mms: Vec<GateMismatch> = [0.0, 0.0094, -0.012, 0.2, -0.0021]
+        ]
+        .into_iter()
+        .cycle()
+        .take(71)
+        .collect();
+        let mms: Vec<GateMismatch> = [0.0, 0.0094, -0.012, 0.2, -0.0021, 0.0057]
             .iter()
+            .cycle()
+            .take(71)
             .map(|&d| GateMismatch {
                 nmos_dvth: Volts(d),
                 pmos_dvth: Volts(d),
