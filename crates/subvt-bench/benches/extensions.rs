@@ -12,6 +12,7 @@ use subvt_device::body_bias::BodyEffect;
 use subvt_device::delay::GateMismatch;
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, EvalMode};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Seconds, Volts};
 use subvt_tdc::counter_method::CounterSensor;
@@ -38,7 +39,8 @@ fn bench(c: &mut Timer) {
     g.bench_function("dither_comparison", |b| {
         b.iter(|| compare_dither(&tech, &ring, env, black_box(Volts(0.2156))))
     });
-    let sensor = VariationSensor::new(&tech, env, SensorConfig::default());
+    let sensor =
+        VariationSensor::with_eval(&AnalyticEval::new(&tech), env, SensorConfig::default());
     g.bench_function("abb_convergence", |b| {
         b.iter(|| {
             let mut abb = AbbCompensator::new(BodyEffect::bulk_130nm());
@@ -81,7 +83,7 @@ fn bench(c: &mut Timer) {
             max_energy_per_op: Joules::from_femtos(2.9),
         };
         let study = StudyConfig::new(100, 1)
-            .tech(tech.clone())
+            .eval(EvalMode::Analytic.build(&tech))
             .env(env)
             .spec(spec)
             .exec(ExecConfig::from_env());
@@ -95,7 +97,7 @@ fn bench(c: &mut Timer) {
         use subvt_core::experiment::design_rate_controller;
         use subvt_loads::ring_oscillator::RingOscillator;
         use subvt_loads::workload::{WorkloadPattern, WorkloadSource};
-        let rate = design_rate_controller(&tech, env).unwrap();
+        let rate = design_rate_controller(&AnalyticEval::new(&tech), env).unwrap();
         b.iter(|| {
             let mut c = AdaptiveController::new(
                 tech.clone(),

@@ -8,11 +8,13 @@ use subvt_bench::figures::fig1_mep_corners;
 use subvt_device::energy::{energy_per_cycle, CircuitProfile};
 use subvt_device::mep::find_mep;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_device::units::Volts;
 
 fn bench(c: &mut Timer) {
     let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&tech);
     let ring = CircuitProfile::ring_oscillator();
     let env = Environment::nominal();
 
@@ -21,7 +23,7 @@ fn bench(c: &mut Timer) {
         b.iter(|| energy_per_cycle(&tech, &ring, black_box(Volts(0.2)), env))
     });
     g.bench_function("mep_search", |b| {
-        b.iter(|| find_mep(&tech, &ring, env, black_box(Volts(0.12)), Volts(0.6)))
+        b.iter(|| find_mep(&eval, &ring, env, black_box(Volts(0.12)), Volts(0.6)))
     });
     g.bench_function("full_figure", |b| b.iter(fig1_mep_corners));
     g.finish();

@@ -7,6 +7,7 @@ use subvt_core::experiment::{run_scenario, savings_experiment, Scenario};
 use subvt_core::study::StudyConfig;
 use subvt_core::SupplyPolicy;
 use subvt_device::tabulate::EvalMode;
+use subvt_device::technology::Technology;
 use subvt_exec::ExecConfig;
 
 fn bench(c: &mut Timer) {
@@ -17,8 +18,9 @@ fn bench(c: &mut Timer) {
     g.bench_function("controller_200_cycles", |b| {
         b.iter(|| run_scenario(&short, SupplyPolicy::AdaptiveCompensated))
     });
+    let eval = EvalMode::Analytic.build(&Technology::st_130nm());
     g.bench_function("four_way_comparison", |b| {
-        b.iter(|| savings_experiment(&short))
+        b.iter(|| savings_experiment(&short, &eval))
     });
     let study = StudyConfig::new(8, 2026).exec(ExecConfig::from_env());
     g.bench_function("monte_carlo_8_dies", |b| {

@@ -7,6 +7,7 @@ use subvt_core::SupplyPolicy;
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mep::find_mep;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Seconds, Volts};
 use subvt_loads::workload::WorkloadPattern;
@@ -34,7 +35,7 @@ pub struct BitsRow {
 /// Sweeps the voltage-code width (the paper fixes 6 bits as "the best
 /// resolution and best tradeoffs").
 pub fn ablation_bits() -> Vec<BitsRow> {
-    let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     let ring = CircuitProfile::ring_oscillator();
     let corners = [
         Environment::nominal(),
@@ -43,7 +44,7 @@ pub fn ablation_bits() -> Vec<BitsRow> {
     ];
     let meps: Vec<_> = corners
         .iter()
-        .map(|&env| find_mep(&tech, &ring, env, Volts(0.12), Volts(0.6)).expect("valid range"))
+        .map(|&env| find_mep(&eval, &ring, env, Volts(0.12), Volts(0.6)).expect("valid range"))
         .collect();
 
     (3..=9)
@@ -55,8 +56,7 @@ pub fn ablation_bits() -> Vec<BitsRow> {
                 let word = (mep.vopt.volts() / lsb).round();
                 let quantized = Volts(word * lsb);
                 worst_error = worst_error.max((quantized - mep.vopt).abs().volts() * 1e3);
-                if let Ok(e) = subvt_device::energy::energy_per_cycle(&tech, &ring, quantized, *env)
-                {
+                if let Ok(e) = eval.energy(&ring, quantized, *env) {
                     let overhead = e.total().value() / mep.energy.value() - 1.0;
                     worst_overhead = worst_overhead.max(overhead);
                 }
@@ -87,13 +87,13 @@ pub struct RefClkRow {
 /// Sweeps the Ref_clk strategy: fixed periods (the paper's 14 ns
 /// direct method) vs the per-band "much lower frequency" method.
 pub fn ablation_refclk() -> Vec<RefClkRow> {
-    let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     let env = Environment::nominal();
     let line = DelayLine::new(64, CellKind::Inverter);
     let voltages: Vec<Volts> = (4..=63).map(|w| Volts(f64::from(w) * 0.01875)).collect();
 
     let reliable_at = |period: Seconds, anchor: Seconds, v: Volts| -> bool {
-        let Ok(cell) = line.cell_delay(&tech, v, env) else {
+        let Ok(cell) = line.cell_delay_with(&eval, v, env) else {
             return false;
         };
         let q = Quantizer::new(64, RefClock::square(period), anchor);
@@ -119,7 +119,7 @@ pub fn ablation_refclk() -> Vec<RefClkRow> {
     let reliable: Vec<f64> = voltages
         .iter()
         .filter(|&&v| {
-            let Ok(cell) = line.cell_delay(&tech, v, env) else {
+            let Ok(cell) = line.cell_delay_with(&eval, v, env) else {
                 return false;
             };
             reliable_at(

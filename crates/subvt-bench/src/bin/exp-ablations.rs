@@ -146,6 +146,7 @@ fn dither_table() -> String {
 
 fn tdc_table() -> String {
     use subvt_device::mosfet::Environment;
+    use subvt_device::tabulate::AnalyticEval;
     use subvt_device::technology::Technology;
     use subvt_device::units::Volts;
     use subvt_tdc::counter_method::CounterSensor;
@@ -165,7 +166,7 @@ fn tdc_table() -> String {
     let env = Environment::nominal();
     let v = Volts(0.22);
     let cell = DelayLine::new(64, CellKind::InvNor)
-        .cell_delay(&tech, v, env)
+        .cell_delay_with(&AnalyticEval::new(&tech), v, env)
         .expect("in range");
     tdcs.row(&[
         "direct (paper)".into(),

@@ -8,6 +8,7 @@ use subvt_core::experiment::design_rate_controller;
 use subvt_device::corner::ProcessCorner;
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_loads::ring_oscillator::RingOscillator;
 use subvt_loads::workload::{WorkloadPattern, WorkloadSource};
@@ -16,7 +17,7 @@ use subvt_rng::StdRng;
 fn run(schedule: &DriftSchedule, cycles: u64, title: &str) {
     let tech = Technology::st_130nm();
     let design = Environment::nominal();
-    let rate = design_rate_controller(&tech, design).expect("designable");
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), design).expect("designable");
     let mut c = AdaptiveController::new(
         tech,
         RingOscillator::paper_circuit(),

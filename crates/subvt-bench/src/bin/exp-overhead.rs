@@ -15,10 +15,10 @@ use subvt_core::experiment::design_rate_controller;
 use subvt_core::overhead::{overhead_per_cycle, ControllerInventory, NetSavings};
 use subvt_core::RateController;
 use subvt_device::corner::ProcessCorner;
-use subvt_device::delay::GateMismatch;
-use subvt_device::delay::{GateTiming, SupplyRangeError};
+use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::GateKind;
 use subvt_device::technology::Technology;
 use subvt_device::units::Seconds as DevSeconds;
@@ -53,12 +53,12 @@ impl CircuitLoad for DspSubsystem {
     }
     fn critical_path(
         &self,
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatch: GateMismatch,
     ) -> Result<DevSeconds, SupplyRangeError> {
-        let t = GateTiming::new(tech).gate_delay_with(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
+        let t = eval.gate_delay(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
         Ok(t * self.profile.depth)
     }
 }
@@ -126,16 +126,17 @@ fn main() {
     );
 
     let cycles = 2_000u64;
+    let eval = AnalyticEval::new(&tech);
     let fir = FirFilter::lowpass_9tap();
     let fir_rate = RateController::design(
-        &tech,
+        &eval,
         &fir,
         Environment::nominal(),
         &[(8, Hertz(200e3)), (32, Hertz(2e6))],
     )
     .expect("designable");
     let ring = RingOscillator::paper_circuit();
-    let ring_rate = design_rate_controller(&tech, Environment::nominal()).expect("designable");
+    let ring_rate = design_rate_controller(&eval, Environment::nominal()).expect("designable");
 
     let mut nt = Table::new(
         "Net savings vs fixed supply after charging TDC+control (slow die, 1 item/cycle, 2 ms)",

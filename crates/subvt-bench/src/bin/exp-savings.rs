@@ -10,6 +10,7 @@ use subvt_core::experiment::{savings_experiment, Scenario};
 use subvt_core::study::{StudyConfig, SupplyBackendKind, STUDY_HELP};
 use subvt_core::SupplySim;
 use subvt_device::tabulate::EvalMode;
+use subvt_device::technology::Technology;
 
 fn usage() -> String {
     format!(
@@ -92,7 +93,8 @@ fn main() {
         _ => SupplyKind::Ideal,
     };
     let scenario = Scenario::paper_worked_example().with_supply(scenario_supply);
-    let report = savings_experiment(&scenario).expect("worked example runs");
+    let eval = EvalMode::Analytic.build(&Technology::st_130nm());
+    let report = savings_experiment(&scenario, &eval).expect("worked example runs");
     println!(
         "\nWorked example on the {supply_note}: LUT {:+} LSB, mean Vdd {} mV, \
          {} vs fixed supply, {} vs uncompensated",

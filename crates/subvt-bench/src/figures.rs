@@ -4,10 +4,11 @@
 //! them and the Criterion benches time them.
 
 use subvt_device::corner::ProcessCorner;
-use subvt_device::delay::GateTiming;
+use subvt_device::delay::GateMismatch;
 use subvt_device::energy::{CircuitProfile, EnergyBreakdown};
 use subvt_device::mep::{energy_sweep, find_mep, MepPoint};
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::{GateKind, Technology};
 use subvt_device::units::Volts;
 use subvt_tdc::table1::{reproduce_table1, Table1Row};
@@ -25,7 +26,7 @@ pub struct Fig1Series {
 
 /// Fig. 1: MEP with process variation (SS/TT/FS, α = 0.1, 25 °C).
 pub fn fig1_mep_corners() -> Vec<Fig1Series> {
-    let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     let ring = CircuitProfile::ring_oscillator();
     ProcessCorner::FIGURE_CORNERS
         .iter()
@@ -33,8 +34,8 @@ pub fn fig1_mep_corners() -> Vec<Fig1Series> {
             let env = Environment::at_corner(corner);
             Fig1Series {
                 corner,
-                sweep: energy_sweep(&tech, &ring, env, Volts(0.10), Volts(0.90), 40),
-                mep: find_mep(&tech, &ring, env, Volts(0.12), Volts(0.60))
+                sweep: energy_sweep(&eval, &ring, env, Volts(0.10), Volts(0.90), 40),
+                mep: find_mep(&eval, &ring, env, Volts(0.12), Volts(0.60))
                     .expect("sweep range valid"),
             }
         })
@@ -54,7 +55,7 @@ pub struct Fig2Series {
 
 /// Fig. 2: MEP with temperature variation (TT corner, 25/85/115 °C).
 pub fn fig2_mep_temperature() -> Vec<Fig2Series> {
-    let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     let ring = CircuitProfile::ring_oscillator();
     [25.0, 85.0, 115.0]
         .iter()
@@ -62,8 +63,8 @@ pub fn fig2_mep_temperature() -> Vec<Fig2Series> {
             let env = Environment::at_celsius(celsius);
             Fig2Series {
                 celsius,
-                sweep: energy_sweep(&tech, &ring, env, Volts(0.10), Volts(1.40), 52),
-                mep: find_mep(&tech, &ring, env, Volts(0.12), Volts(0.90))
+                sweep: energy_sweep(&eval, &ring, env, Volts(0.10), Volts(1.40), 52),
+                mep: find_mep(&eval, &ring, env, Volts(0.12), Volts(0.90))
                     .expect("sweep range valid"),
             }
         })
@@ -81,8 +82,7 @@ pub struct Fig3Series {
 
 /// Fig. 3: delay vs supply voltage per corner, 0.1-1.4 V log scale.
 pub fn fig3_delay_corners() -> Vec<Fig3Series> {
-    let tech = Technology::st_130nm();
-    let timing = GateTiming::new(&tech);
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     ProcessCorner::FIGURE_CORNERS
         .iter()
         .map(|&corner| {
@@ -90,8 +90,7 @@ pub fn fig3_delay_corners() -> Vec<Fig3Series> {
             let delays = (0..=52)
                 .filter_map(|i| {
                     let v = Volts(0.10 + 0.025 * f64::from(i));
-                    timing
-                        .gate_delay(GateKind::Inverter, v, env)
+                    eval.gate_delay(GateKind::Inverter, v, env, GateMismatch::NOMINAL, 1.0)
                         .ok()
                         .map(|d| (v, d.nanos()))
                 })

@@ -3,9 +3,7 @@
 use subvt_exec::Welford;
 use subvt_rng::StdRng;
 
-use subvt_core::experiment::{
-    savings_experiment, savings_experiment_eval, SavingsReport, Scenario,
-};
+use subvt_core::experiment::{savings_experiment, SavingsReport, Scenario};
 use subvt_core::study::StudyConfig;
 use subvt_core::transient::{fig6_schedule, run_transient, TransientResult};
 use subvt_dcdc::converter::ConverterParams;
@@ -61,9 +59,10 @@ pub fn savings_scenarios() -> Vec<Scenario> {
 
 /// Runs the full savings comparison over the scenario matrix.
 pub fn savings_matrix() -> Vec<SavingsReport> {
+    let eval = EvalMode::Analytic.build(&Technology::st_130nm());
     savings_scenarios()
         .iter()
-        .map(|s| savings_experiment(s).expect("designable scenario"))
+        .map(|s| savings_experiment(s, &eval).expect("designable scenario"))
         .collect()
 }
 
@@ -96,7 +95,7 @@ fn mc_die(
     scenario.name = format!("mc-die-{die}");
     scenario.die = variation.mean_gate();
     scenario.seed = seed.wrapping_add(die as u64);
-    let report = savings_experiment_eval(&scenario, eval).expect("designable");
+    let report = savings_experiment(&scenario, eval).expect("designable");
     MonteCarloRow {
         die,
         corner_units: variation.corner_units(),

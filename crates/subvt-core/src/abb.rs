@@ -14,6 +14,7 @@ use subvt_device::body_bias::{BodyBias, BodyEffect};
 use subvt_device::constants::DCDC_LSB;
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_device::units::Volts;
 use subvt_digital::lut::VoltageWord;
@@ -104,10 +105,12 @@ impl AbbCompensator {
         process: GateMismatch,
         max_iterations: u32,
     ) -> Result<(BodyBias, i16), SenseError> {
+        let eval = AnalyticEval::new(tech);
         let mut deviation = 0;
         for _ in 0..max_iterations {
             let effective = self.bias.compose(&self.effect, process);
-            deviation = sensor.sense(tech, word, word_voltage(word), actual_env, effective)?;
+            deviation =
+                sensor.sense_with(&eval, word, word_voltage(word), actual_env, effective)?;
             match self.observe(deviation) {
                 AbbStep::Adjusted { .. } => continue,
                 AbbStep::OnTarget | AbbStep::RangeExhausted => break,
@@ -136,7 +139,11 @@ mod tests {
 
     fn setup() -> (Technology, VariationSensor, AbbCompensator) {
         let tech = Technology::st_130nm();
-        let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+        let sensor = VariationSensor::with_eval(
+            &AnalyticEval::new(&tech),
+            Environment::nominal(),
+            SensorConfig::default(),
+        );
         let abb = AbbCompensator::new(BodyEffect::bulk_130nm());
         (tech, sensor, abb)
     }
@@ -237,7 +244,13 @@ mod tests {
         };
         // AVS route: supply one LSB up, no bias.
         let avs_dev = sensor
-            .sense(&tech, 12, word_voltage(13), Environment::nominal(), process)
+            .sense_with(
+                &AnalyticEval::new(&tech),
+                12,
+                word_voltage(13),
+                Environment::nominal(),
+                process,
+            )
             .unwrap();
         // ABB route: converge the bias at the design word.
         let (_, abb_dev) = abb

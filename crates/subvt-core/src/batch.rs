@@ -124,7 +124,7 @@ fn lane_passes(
     let (v_rate, v_energy) = word_voltages(ctx, word);
     let energy = ctx
         .load
-        .energy_per_op_with(energy_eval, v_energy, ctx.env)
+        .energy_per_op(energy_eval, v_energy, ctx.env)
         .map(|e| e.total())
         .unwrap_or(Joules(f64::INFINITY));
     let energy_ok = energy.value() <= ctx.spec.max_energy_per_op.value();

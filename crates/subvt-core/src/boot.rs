@@ -12,6 +12,7 @@ use std::fmt;
 use subvt_dcdc::converter::DcDcConverter;
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_digital::lut::VoltageWord;
 use subvt_tdc::sensor::{SenseError, VariationSensor};
@@ -129,7 +130,13 @@ impl BootSequence {
             }
             BootState::CalibrationCheck => {
                 converter.run_system_cycles(1);
-                let deviation = sensor.sense(tech, self.target, converter.vout(), env, mismatch)?;
+                let deviation = sensor.sense_with(
+                    &AnalyticEval::new(tech),
+                    self.target,
+                    converter.vout(),
+                    env,
+                    mismatch,
+                )?;
                 // A fresh, nominal-corner chip should read within the
                 // sensor quantization; larger readings mean the supply
                 // has not settled or the die is far off — retry.
@@ -196,7 +203,11 @@ mod tests {
 
     fn setup() -> (Technology, VariationSensor, DcDcConverter) {
         let tech = Technology::st_130nm();
-        let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+        let sensor = VariationSensor::with_eval(
+            &AnalyticEval::new(&tech),
+            Environment::nominal(),
+            SensorConfig::default(),
+        );
         let converter = DcDcConverter::new(ConverterParams::default(), Box::new(NoLoad));
         (tech, sensor, converter)
     }

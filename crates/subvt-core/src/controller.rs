@@ -20,7 +20,7 @@ use subvt_dcdc::filter::ConstantLoad;
 use subvt_dcdc::ideal::IdealConverter;
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::SharedEval;
+use subvt_device::tabulate::{EvalMode, SharedEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Joules, Seconds, Volts};
 use subvt_digital::fifo::Fifo;
@@ -172,11 +172,10 @@ impl RunSummary {
 /// The assembled adaptive controller.
 #[derive(Debug)]
 pub struct AdaptiveController<L: CircuitLoad> {
-    tech: Technology,
-    /// Optional device-surface evaluator: when set, the sensor, the
-    /// load's rate and the energy account all run on it (tabulated
-    /// surfaces take the analytic model off the per-cycle path).
-    eval: Option<SharedEval>,
+    /// The device model the sensor, the load's rate and the energy
+    /// account all run on (tabulated surfaces take the analytic model
+    /// off the per-cycle path).
+    eval: SharedEval,
     design_env: Environment,
     actual_env: Environment,
     die_mismatch: GateMismatch,
@@ -211,6 +210,9 @@ impl<L: CircuitLoad> AdaptiveController<L> {
     /// * `design_env` — the corner/temperature the LUT and sensor were
     ///   calibrated for at design time;
     /// * `actual_env` + `die_mismatch` — what the silicon actually is.
+    ///
+    /// The device physics runs on the analytic model of `tech`;
+    /// [`AdaptiveController::with_eval`] swaps in another evaluator.
     #[allow(clippy::too_many_arguments)] // mirrors the physical wiring of Fig. 5
     pub fn new(
         tech: Technology,
@@ -223,7 +225,8 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         kind: SupplyKind,
         config: ControllerConfig,
     ) -> AdaptiveController<L> {
-        let sensor = VariationSensor::new(&tech, design_env, config.sensor);
+        let eval = EvalMode::Analytic.build(&tech);
+        let sensor = VariationSensor::with_eval(eval.as_ref(), design_env, config.sensor);
         let supply = match kind {
             SupplyKind::Ideal => Supply::Ideal(IdealConverter::new()),
             SupplyKind::Switched => {
@@ -240,8 +243,7 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         AdaptiveController {
             compensation: CompensationLoop::new(config.compensation),
             fifo: Fifo::new(config.fifo_capacity),
-            tech,
-            eval: None,
+            eval,
             design_env,
             actual_env,
             die_mismatch,
@@ -266,15 +268,14 @@ impl<L: CircuitLoad> AdaptiveController<L> {
 
     /// Routes the controller's device physics — sensor calibration,
     /// runtime sensing, the load's processing rate and the energy
-    /// account — through `eval`. With an
-    /// [`AnalyticEval`](subvt_device::tabulate::AnalyticEval) the run
-    /// is bit-identical to the default; with a
+    /// account — through `eval` instead of the analytic model `new`
+    /// built. With a
     /// [`TabulatedEval`](subvt_device::tabulate::TabulatedEval) the
     /// per-cycle loop stays off the analytic model.
     pub fn with_eval(mut self, eval: SharedEval) -> AdaptiveController<L> {
         self.sensor =
             VariationSensor::with_eval(eval.as_ref(), self.design_env, self.config.sensor);
-        self.eval = Some(eval);
+        self.eval = eval;
         self
     }
 
@@ -509,49 +510,29 @@ impl<L: CircuitLoad> AdaptiveController<L> {
     }
 
     fn sense(&self, word: VoltageWord, vout: Volts) -> Result<i16, SenseError> {
-        match &self.eval {
-            Some(eval) => self.sensor.sense_with(
-                eval.as_ref(),
-                word,
-                vout,
-                self.actual_env,
-                self.die_mismatch,
-            ),
-            None => self
-                .sensor
-                .sense(&self.tech, word, vout, self.actual_env, self.die_mismatch),
-        }
+        self.sensor.sense_with(
+            self.eval.as_ref(),
+            word,
+            vout,
+            self.actual_env,
+            self.die_mismatch,
+        )
     }
 
     fn sense_fractional(&self, word: VoltageWord, vout: Volts) -> Result<f64, SenseError> {
-        match &self.eval {
-            Some(eval) => self.sensor.sense_fractional_with(
-                eval.as_ref(),
-                word,
-                vout,
-                self.actual_env,
-                self.die_mismatch,
-            ),
-            None => self.sensor.sense_fractional(
-                &self.tech,
-                word,
-                vout,
-                self.actual_env,
-                self.die_mismatch,
-            ),
-        }
+        self.sensor.sense_fractional_with(
+            self.eval.as_ref(),
+            word,
+            vout,
+            self.actual_env,
+            self.die_mismatch,
+        )
     }
 
     fn process(&mut self, vout: Volts) -> u32 {
-        let rate = match &self.eval {
-            Some(eval) => {
-                self.load
-                    .max_rate_with(eval.as_ref(), vout, self.actual_env, self.die_mismatch)
-            }
-            None => self
-                .load
-                .max_rate(&self.tech, vout, self.actual_env, self.die_mismatch),
-        };
+        let rate = self
+            .load
+            .max_rate(self.eval.as_ref(), vout, self.actual_env, self.die_mismatch);
         let Ok(rate) = rate else {
             return 0; // supply below functional floor: the load stalls
         };
@@ -567,24 +548,16 @@ impl<L: CircuitLoad> AdaptiveController<L> {
     }
 
     fn account_energy(&mut self, vout: Volts, ops: u32) {
-        let e = match &self.eval {
-            Some(eval) => self
-                .load
-                .energy_per_op_with(eval.as_ref(), vout, self.actual_env),
-            None => self.load.energy_per_op(&self.tech, vout, self.actual_env),
-        };
+        let e = self
+            .load
+            .energy_per_op(self.eval.as_ref(), vout, self.actual_env);
         let Ok(e) = e else {
             // Below the functional floor the load cannot compute, but
             // its (gated) leakage still flows.
             let profile = self.load.profile();
-            let i_off_n = self
-                .tech
-                .nmos
-                .off_current(vout, self.actual_env, Volts::ZERO);
-            let i_off_p = self
-                .tech
-                .pmos
-                .off_current(vout, self.actual_env, Volts::ZERO);
+            let tech = self.eval.technology();
+            let i_off_n = tech.nmos.off_current(vout, self.actual_env, Volts::ZERO);
+            let i_off_p = tech.pmos.off_current(vout, self.actual_env, Volts::ZERO);
             let scales = profile.corner_cal.scales(self.actual_env.corner);
             let leak = 0.5
                 * (i_off_n.value() + i_off_p.value())
@@ -686,7 +659,7 @@ mod tests {
 
     fn rate_controller(tech: &Technology, env: Environment) -> RateController {
         RateController::design(
-            tech,
+            EvalMode::Analytic.build(tech).as_ref(),
             &RingOscillator::paper_circuit(),
             env,
             &[(8, Hertz(100e3)), (16, Hertz(1e6)), (32, Hertz(10e6))],
@@ -971,31 +944,18 @@ mod tests {
     }
 
     #[test]
-    fn eval_runs_match_the_direct_controller() {
-        use std::sync::Arc;
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
-        let tech = Technology::st_130nm();
+    fn tabulated_runs_match_the_analytic_controller() {
         let run = |c: &mut AdaptiveController<RingOscillator>| {
             let mut wl = WorkloadSource::new(WorkloadPattern::Constant { per_cycle: 1 });
             let mut rng = StdRng::seed_from_u64(9);
             c.run(&mut wl, 200, &mut rng)
         };
-        let mut direct = controller(
+        let mut analytic = controller(
             Environment::at_corner(ProcessCorner::Ss),
             SupplyPolicy::AdaptiveCompensated,
             SupplyKind::Ideal,
         );
-        let baseline = run(&mut direct);
-
-        // Analytic eval: bit-identical run.
-        let mut via_analytic = controller(
-            Environment::at_corner(ProcessCorner::Ss),
-            SupplyPolicy::AdaptiveCompensated,
-            SupplyKind::Ideal,
-        )
-        .with_eval(Arc::new(AnalyticEval::new(&tech)));
-        assert_eq!(run(&mut via_analytic), baseline);
-        assert_eq!(via_analytic.history(), direct.history());
+        let baseline = run(&mut analytic);
 
         // Tabulated eval: same control decisions (the 18.75 mV word
         // grid dwarfs the ≤1% interpolation budget), energy within it.
@@ -1004,7 +964,7 @@ mod tests {
             SupplyPolicy::AdaptiveCompensated,
             SupplyKind::Ideal,
         )
-        .with_eval(Arc::new(TabulatedEval::new(&tech)));
+        .with_eval(EvalMode::Tabulated.build(&Technology::st_130nm()));
         let tabulated = run(&mut via_table);
         assert_eq!(tabulated.compensation, baseline.compensation);
         // The ≤1% rate interpolation error can move one floor() in the

@@ -8,8 +8,9 @@
 //! — the dynamic companion to the static code-width ablation.
 
 use subvt_device::delay::SupplyRangeError;
-use subvt_device::energy::{energy_per_cycle, CircuitProfile};
+use subvt_device::energy::CircuitProfile;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Joules, Volts};
 use subvt_digital::lut::VoltageWord;
@@ -57,8 +58,9 @@ impl DitherPlan {
         Volts(lo + (hi - lo) * self.high_fraction)
     }
 
-    /// Energy per operation under the dither: the per-op average of the
-    /// two operating points weighted by where the operations run.
+    /// Energy per operation under the dither on the analytic model of
+    /// `tech`: the per-op average of the two operating points weighted
+    /// by where the operations run.
     ///
     /// # Errors
     ///
@@ -70,11 +72,12 @@ impl DitherPlan {
         profile: &CircuitProfile,
         env: Environment,
     ) -> Result<Joules, SupplyRangeError> {
-        let e_low = energy_per_cycle(tech, profile, word_voltage(self.low), env)?.total();
+        let eval = AnalyticEval::new(tech);
+        let e_low = eval.energy(profile, word_voltage(self.low), env)?.total();
         if self.high_fraction <= 0.0 || self.low == self.high {
             return Ok(e_low);
         }
-        let e_high = energy_per_cycle(tech, profile, word_voltage(self.high), env)?.total();
+        let e_high = eval.energy(profile, word_voltage(self.high), env)?.total();
         Ok(Joules(
             e_low.value() * (1.0 - self.high_fraction) + e_high.value() * self.high_fraction,
         ))
@@ -112,7 +115,8 @@ impl DitherComparison {
     }
 }
 
-/// Evaluates dithering at a target voltage.
+/// Evaluates dithering at a target voltage on the analytic model of
+/// `tech`.
 ///
 /// # Errors
 ///
@@ -126,9 +130,10 @@ pub fn compare_dither(
 ) -> Result<DitherComparison, SupplyRangeError> {
     let plan = DitherPlan::for_target(target);
     let ceil = ((target.volts() / 0.01875).ceil().clamp(0.0, 63.0)) as VoltageWord;
-    let rounded = energy_per_cycle(tech, profile, word_voltage(ceil), env)?.total();
+    let eval = AnalyticEval::new(tech);
+    let rounded = eval.energy(profile, word_voltage(ceil), env)?.total();
     let dithered = plan.energy_per_op(tech, profile, env)?;
-    let exact = energy_per_cycle(tech, profile, target, env)?.total();
+    let exact = eval.energy(profile, target, env)?.total();
     Ok(DitherComparison {
         target,
         rounded,
@@ -140,6 +145,7 @@ pub fn compare_dither(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subvt_device::energy::energy_per_cycle;
 
     fn fixture() -> (Technology, CircuitProfile, Environment) {
         (

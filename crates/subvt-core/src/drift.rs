@@ -116,6 +116,7 @@ mod tests {
     use crate::experiment::design_rate_controller;
     use subvt_device::corner::ProcessCorner;
     use subvt_device::delay::GateMismatch;
+    use subvt_device::tabulate::AnalyticEval;
     use subvt_device::technology::Technology;
     use subvt_loads::ring_oscillator::RingOscillator;
     use subvt_loads::workload::WorkloadPattern;
@@ -124,7 +125,7 @@ mod tests {
     fn controller() -> AdaptiveController<RingOscillator> {
         let tech = Technology::st_130nm();
         let design = Environment::nominal();
-        let rate = design_rate_controller(&tech, design).expect("designable");
+        let rate = design_rate_controller(&AnalyticEval::new(&tech), design).expect("designable");
         AdaptiveController::new(
             tech,
             RingOscillator::paper_circuit(),

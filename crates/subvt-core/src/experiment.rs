@@ -9,7 +9,7 @@ use subvt_rng::StdRng;
 
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::SharedEval;
+use subvt_device::tabulate::{DeviceEval, EvalMode, SharedEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::Hertz;
 use subvt_digital::lut::VoltageWord;
@@ -98,17 +98,17 @@ fn standard_band_rates() -> Vec<(usize, Hertz)> {
     vec![(8, Hertz(100e3)), (16, Hertz(1e6)), (32, Hertz(10e6))]
 }
 
-/// Designs the scenario's rate controller at an environment.
+/// Designs the scenario's rate controller at an environment on `eval`.
 ///
 /// # Errors
 ///
 /// Propagates [`DesignError`] from the LUT design.
 pub fn design_rate_controller(
-    tech: &Technology,
+    eval: &dyn DeviceEval,
     env: Environment,
 ) -> Result<RateController, DesignError> {
     RateController::design(
-        tech,
+        eval,
         &RingOscillator::paper_circuit(),
         env,
         &standard_band_rates(),
@@ -123,31 +123,13 @@ pub fn design_rate_controller(
 ///
 /// Propagates [`DesignError`] when no word sustains the worst case.
 pub fn fixed_baseline_word(
-    tech: &Technology,
+    eval: &dyn DeviceEval,
     workload: &WorkloadPattern,
     guard_lsb: u8,
 ) -> Result<VoltageWord, DesignError> {
     let ring = RingOscillator::paper_circuit();
     let worst = Environment::at_corner(subvt_device::corner::ProcessCorner::Ss);
-    let word = RateController::word_for_rate(tech, &ring, worst, peak_rate(workload))?;
-    Ok((word + guard_lsb).min(63))
-}
-
-/// [`fixed_baseline_word`] through a
-/// [`DeviceEval`](subvt_device::tabulate::DeviceEval).
-///
-/// # Errors
-///
-/// Propagates [`DesignError`] when no word sustains the worst case.
-pub fn fixed_baseline_word_eval(
-    eval: &SharedEval,
-    workload: &WorkloadPattern,
-    guard_lsb: u8,
-) -> Result<VoltageWord, DesignError> {
-    let ring = RingOscillator::paper_circuit();
-    let worst = Environment::at_corner(subvt_device::corner::ProcessCorner::Ss);
-    let word =
-        RateController::word_for_rate_eval(eval.as_ref(), &ring, worst, peak_rate(workload))?;
+    let word = RateController::word_for_rate(eval, &ring, worst, peak_rate(workload))?;
     Ok((word + guard_lsb).min(63))
 }
 
@@ -203,19 +185,14 @@ impl SavingsReport {
     }
 }
 
-fn run_policy(scenario: &Scenario, rate: RateController, policy: SupplyPolicy) -> RunSummary {
-    run_policy_impl(scenario, rate, policy, None)
-}
-
-fn run_policy_impl(
+fn run_policy(
     scenario: &Scenario,
     rate: RateController,
     policy: SupplyPolicy,
-    eval: Option<SharedEval>,
+    eval: &SharedEval,
 ) -> RunSummary {
-    let tech = Technology::st_130nm();
     let mut controller = AdaptiveController::new(
-        tech,
+        eval.technology().clone(),
         RingOscillator::paper_circuit(),
         rate,
         scenario.design_env,
@@ -224,37 +201,38 @@ fn run_policy_impl(
         policy,
         scenario.supply,
         scenario.config,
-    );
-    if let Some(eval) = eval {
-        controller = controller.with_eval(eval);
-    }
+    )
+    .with_eval(eval.clone());
     let mut workload = WorkloadSource::new(scenario.workload.clone());
     let mut rng = StdRng::seed_from_u64(scenario.seed);
     controller.run(&mut workload, scenario.cycles, &mut rng)
 }
 
-/// Runs one policy over a scenario (rate controller designed at the
-/// scenario's design environment).
+/// Runs one policy over a scenario on the analytic ST 130 nm model
+/// (rate controller designed at the scenario's design environment).
 ///
 /// # Errors
 ///
 /// Propagates [`DesignError`].
 pub fn run_scenario(scenario: &Scenario, policy: SupplyPolicy) -> Result<RunSummary, DesignError> {
-    let tech = Technology::st_130nm();
-    let rate = design_rate_controller(&tech, scenario.design_env)?;
-    Ok(run_policy(scenario, rate, policy))
+    let eval = EvalMode::Analytic.build(&Technology::st_130nm());
+    let rate = design_rate_controller(eval.as_ref(), scenario.design_env)?;
+    Ok(run_policy(scenario, rate, policy, &eval))
 }
 
-/// Runs the full four-way comparison over a scenario.
+/// Runs the full four-way comparison over a scenario, with every
+/// controller (design, sensing, per-cycle physics) running on `eval`.
 ///
 /// # Errors
 ///
 /// Propagates [`DesignError`].
-pub fn savings_experiment(scenario: &Scenario) -> Result<SavingsReport, DesignError> {
-    let tech = Technology::st_130nm();
-    let designed = design_rate_controller(&tech, scenario.design_env)?;
-    let oracle_rate = design_rate_controller(&tech, scenario.actual_env)?;
-    let fixed_word = fixed_baseline_word(&tech, &scenario.workload, 2)?;
+pub fn savings_experiment(
+    scenario: &Scenario,
+    eval: &SharedEval,
+) -> Result<SavingsReport, DesignError> {
+    let designed = design_rate_controller(eval.as_ref(), scenario.design_env)?;
+    let oracle_rate = design_rate_controller(eval.as_ref(), scenario.actual_env)?;
+    let fixed_word = fixed_baseline_word(eval.as_ref(), &scenario.workload, 2)?;
 
     Ok(SavingsReport {
         scenario: scenario.name.clone(),
@@ -262,70 +240,26 @@ pub fn savings_experiment(scenario: &Scenario) -> Result<SavingsReport, DesignEr
             scenario,
             designed.clone(),
             SupplyPolicy::AdaptiveCompensated,
+            eval,
         ),
-        uncompensated: run_policy(scenario, designed, SupplyPolicy::AdaptiveUncompensated),
+        uncompensated: run_policy(
+            scenario,
+            designed,
+            SupplyPolicy::AdaptiveUncompensated,
+            eval,
+        ),
         fixed: run_policy(
             scenario,
             oracle_rate.clone(), // LUT unused under FixedWord
             SupplyPolicy::FixedWord(fixed_word),
+            eval,
         ),
         fixed_word,
-        oracle: run_policy(scenario, oracle_rate, SupplyPolicy::AdaptiveUncompensated),
-    })
-}
-
-/// [`savings_experiment`] with every controller (design, sensing,
-/// per-cycle physics) running on `eval` — the Monte-Carlo hot path of
-/// `savings_monte_carlo` uses this with a tabulated evaluator.
-///
-/// # Errors
-///
-/// Propagates [`DesignError`].
-pub fn savings_experiment_eval(
-    scenario: &Scenario,
-    eval: &SharedEval,
-) -> Result<SavingsReport, DesignError> {
-    let ring = RingOscillator::paper_circuit();
-    let designed = RateController::design_eval(
-        eval.as_ref(),
-        &ring,
-        scenario.design_env,
-        &standard_band_rates(),
-    )?;
-    let oracle_rate = RateController::design_eval(
-        eval.as_ref(),
-        &ring,
-        scenario.actual_env,
-        &standard_band_rates(),
-    )?;
-    let fixed_word = fixed_baseline_word_eval(eval, &scenario.workload, 2)?;
-
-    Ok(SavingsReport {
-        scenario: scenario.name.clone(),
-        compensated: run_policy_impl(
-            scenario,
-            designed.clone(),
-            SupplyPolicy::AdaptiveCompensated,
-            Some(eval.clone()),
-        ),
-        uncompensated: run_policy_impl(
-            scenario,
-            designed,
-            SupplyPolicy::AdaptiveUncompensated,
-            Some(eval.clone()),
-        ),
-        fixed: run_policy_impl(
-            scenario,
-            oracle_rate.clone(), // LUT unused under FixedWord
-            SupplyPolicy::FixedWord(fixed_word),
-            Some(eval.clone()),
-        ),
-        fixed_word,
-        oracle: run_policy_impl(
+        oracle: run_policy(
             scenario,
             oracle_rate,
             SupplyPolicy::AdaptiveUncompensated,
-            Some(eval.clone()),
+            eval,
         ),
     })
 }
@@ -335,12 +269,16 @@ mod tests {
     use super::*;
     use subvt_device::corner::ProcessCorner;
 
+    fn analytic() -> SharedEval {
+        EvalMode::Analytic.build(&Technology::st_130nm())
+    }
+
     #[test]
     fn paper_scenario_headline_savings() {
         // "The benefits of the proposed controller is reflected with
         // energy improvement of up to 55% compared to when no
         // controller is employed."
-        let report = savings_experiment(&Scenario::paper_worked_example()).unwrap();
+        let report = savings_experiment(&Scenario::paper_worked_example(), &analytic()).unwrap();
         let s = report.savings_vs_fixed();
         assert!(
             (0.35..0.9).contains(&s),
@@ -354,7 +292,7 @@ mod tests {
 
     #[test]
     fn compensation_beats_no_compensation_on_a_slow_die() {
-        let report = savings_experiment(&Scenario::paper_worked_example()).unwrap();
+        let report = savings_experiment(&Scenario::paper_worked_example(), &analytic()).unwrap();
         // On a slow die, the uncompensated LUT undershoots the MEP;
         // compensation must not lose energy, and the corrected run
         // lands +1 LSB above the design word.
@@ -366,7 +304,7 @@ mod tests {
 
     #[test]
     fn controller_tracks_the_oracle() {
-        let report = savings_experiment(&Scenario::paper_worked_example()).unwrap();
+        let report = savings_experiment(&Scenario::paper_worked_example(), &analytic()).unwrap();
         let eff = report.oracle_efficiency();
         assert!((0.8..=1.02).contains(&eff), "oracle efficiency {eff}");
     }
@@ -380,7 +318,7 @@ mod tests {
         // EXPERIMENTS.md discusses the finding.
         let scenario =
             Scenario::paper_worked_example().with_actual_env(Environment::at_celsius(85.0));
-        let report = savings_experiment(&scenario).unwrap();
+        let report = savings_experiment(&scenario, &analytic()).unwrap();
         assert_eq!(report.compensated.compensation, -3, "saturates the budget");
         assert!(report.savings_vs_fixed() > 0.1);
         // The controller still does all the work.
@@ -394,35 +332,30 @@ mod tests {
     fn fast_corner_scenario() {
         let scenario = Scenario::paper_worked_example()
             .with_actual_env(Environment::at_corner(ProcessCorner::Ff));
-        let report = savings_experiment(&scenario).unwrap();
+        let report = savings_experiment(&scenario, &analytic()).unwrap();
         assert!(report.compensated.compensation < 0);
     }
 
     #[test]
     fn fixed_word_covers_worst_case() {
-        let tech = Technology::st_130nm();
-        let word =
-            fixed_baseline_word(&tech, &WorkloadPattern::Constant { per_cycle: 1 }, 2).unwrap();
+        let word = fixed_baseline_word(
+            analytic().as_ref(),
+            &WorkloadPattern::Constant { per_cycle: 1 },
+            2,
+        )
+        .unwrap();
         assert!(word > 11, "guard-banded word must exceed the MEP word");
         assert!(word < 64);
     }
 
     #[test]
-    fn eval_experiment_reproduces_the_headline_numbers() {
-        use std::sync::Arc;
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
+    fn tabulated_experiment_reproduces_the_headline_numbers() {
         let scenario = Scenario::paper_worked_example();
-        let reference = savings_experiment(&scenario).unwrap();
-        let tech = Technology::st_130nm();
-
-        // Analytic evaluator: bit-identical report.
-        let analytic: SharedEval = Arc::new(AnalyticEval::new(&tech));
-        let via_analytic = savings_experiment_eval(&scenario, &analytic).unwrap();
-        assert_eq!(via_analytic, reference);
+        let reference = savings_experiment(&scenario, &analytic()).unwrap();
 
         // Tabulated evaluator: same decisions, headline within a few %.
-        let tabulated: SharedEval = Arc::new(TabulatedEval::new(&tech));
-        let via_table = savings_experiment_eval(&scenario, &tabulated).unwrap();
+        let tabulated = EvalMode::Tabulated.build(&Technology::st_130nm());
+        let via_table = savings_experiment(&scenario, &tabulated).unwrap();
         assert_eq!(via_table.fixed_word, reference.fixed_word);
         assert_eq!(
             via_table.compensated.compensation,
@@ -442,7 +375,7 @@ mod tests {
         // enough to run the whole four-way comparison on it: the
         // savings survive droop, ripple and conduction loss.
         let scenario = Scenario::paper_worked_example().with_supply(SupplyKind::Switched);
-        let report = savings_experiment(&scenario).unwrap();
+        let report = savings_experiment(&scenario, &analytic()).unwrap();
         assert_eq!(report.compensated.dropped, 0);
         assert!(
             report.compensated.account.converter().value() > 0.0,
@@ -452,7 +385,7 @@ mod tests {
         assert!((0.2..0.9).contains(&s), "switched-supply savings {s}");
         // The ideal-supply headline is close by: the converter's
         // imperfections shave, not erase, the benefit.
-        let ideal = savings_experiment(&Scenario::paper_worked_example()).unwrap();
+        let ideal = savings_experiment(&Scenario::paper_worked_example(), &analytic()).unwrap();
         assert!(
             (s - ideal.savings_vs_fixed()).abs() < 0.15,
             "switched {s} vs ideal {}",
@@ -467,7 +400,7 @@ mod tests {
             busy_cycles: 10,
             idle_cycles: 30,
         });
-        let report = savings_experiment(&scenario).unwrap();
+        let report = savings_experiment(&scenario, &analytic()).unwrap();
         assert!(report.compensated.loss_rate() < 0.01);
         assert!(report.savings_vs_fixed() > 0.2);
     }

@@ -15,6 +15,7 @@
 use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::mep::find_mep;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Joules, Volts};
 use subvt_loads::load::CircuitLoad;
@@ -49,18 +50,18 @@ impl IdlePolicyComparison {
 }
 
 fn policy_energy(
-    tech: &Technology,
+    eval: &dyn DeviceEval,
     load: &dyn CircuitLoad,
     env: Environment,
     vdd: Volts,
     rate: Hertz,
     idle_retention: f64,
 ) -> Result<Option<PolicyEnergy>, SupplyRangeError> {
-    let max = load.max_rate(tech, vdd, env, GateMismatch::NOMINAL)?;
+    let max = load.max_rate(eval, vdd, env, GateMismatch::NOMINAL)?;
     if max.value() < rate.value() {
         return Ok(None); // cannot sustain the rate at this supply
     }
-    let e = load.energy_per_op(tech, vdd, env)?;
+    let e = load.energy_per_op(eval, vdd, env)?;
     let ops_per_s = rate.value();
     let busy = ops_per_s * e.cycle_time.value();
     let idle = 1.0 - busy;
@@ -78,6 +79,7 @@ fn policy_energy(
 ///
 /// The DVS supply is the lowest voltage that sustains the rate, floored
 /// at the load's MEP voltage (running below the MEP wastes energy).
+/// Both policies are priced on the analytic model of `tech`.
 ///
 /// # Errors
 ///
@@ -91,8 +93,9 @@ pub fn compare_idle_policies(
     race_vdd: Volts,
     idle_retention: f64,
 ) -> Result<IdlePolicyComparison, SupplyRangeError> {
+    let eval = AnalyticEval::new(tech);
     let mep = find_mep(
-        tech,
+        &eval,
         load.profile(),
         env,
         tech.min_vdd + Volts(0.02),
@@ -106,7 +109,7 @@ pub fn compare_idle_policies(
         if v < tech.min_vdd {
             continue;
         }
-        if let Ok(max) = load.max_rate(tech, v, env, GateMismatch::NOMINAL) {
+        if let Ok(max) = load.max_rate(&eval, v, env, GateMismatch::NOMINAL) {
             if max.value() >= rate.value() {
                 dvs_vdd = Some(v.max(mep.vopt));
                 break;
@@ -115,15 +118,15 @@ pub fn compare_idle_policies(
     }
     let dvs_vdd = dvs_vdd.ok_or_else(|| {
         // Reuse the range error type for "unreachable rate".
-        load.critical_path(tech, Volts(0.0), env, GateMismatch::NOMINAL)
+        load.critical_path(&eval, Volts(0.0), env, GateMismatch::NOMINAL)
             .unwrap_err()
     })?;
 
-    let dvs = policy_energy(tech, load, env, dvs_vdd, rate, idle_retention)?
+    let dvs = policy_energy(&eval, load, env, dvs_vdd, rate, idle_retention)?
         .expect("dvs voltage sustains the rate by construction");
     let race =
-        policy_energy(tech, load, env, race_vdd, rate, idle_retention)?.ok_or_else(|| {
-            load.critical_path(tech, Volts(0.0), env, GateMismatch::NOMINAL)
+        policy_energy(&eval, load, env, race_vdd, rate, idle_retention)?.ok_or_else(|| {
+            load.critical_path(&eval, Volts(0.0), env, GateMismatch::NOMINAL)
                 .unwrap_err()
         })?;
 
@@ -214,7 +217,12 @@ mod tests {
         let (tech, ring, env) = fixture();
         let race_vdd = Volts(0.6);
         let max_at_race = ring
-            .max_rate(&tech, race_vdd, env, GateMismatch::NOMINAL)
+            .max_rate(
+                &AnalyticEval::new(&tech),
+                race_vdd,
+                env,
+                GateMismatch::NOMINAL,
+            )
             .unwrap();
         let cmp = compare_idle_policies(
             &tech,

@@ -24,9 +24,12 @@
 //!
 //! ```
 //! use subvt_core::experiment::{savings_experiment, Scenario};
+//! use subvt_device::tabulate::EvalMode;
+//! use subvt_device::technology::Technology;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let report = savings_experiment(&Scenario::paper_worked_example())?;
+//! let eval = EvalMode::Analytic.build(&Technology::st_130nm());
+//! let report = savings_experiment(&Scenario::paper_worked_example(), &eval)?;
 //! println!(
 //!     "controller saves {:.0}% vs a fixed supply; LUT corrected by {} LSB",
 //!     100.0 * report.savings_vs_fixed(),

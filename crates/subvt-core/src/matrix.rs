@@ -485,7 +485,7 @@ pub(crate) fn run_cells(
         return Ok(Vec::new());
     }
     let (start_chunk, start, mut writer) = open_checkpoint(base, cells)?;
-    let eval = base.resolved_eval();
+    let eval = base.eval.clone();
     // Per-cell supply models, hoisted to one *build* per distinct
     // backend per run — a buck settle table costs milliseconds to
     // integrate, and six buck cells share one snapshot. Clones compare
@@ -580,13 +580,75 @@ mod tests {
 
     #[test]
     fn single_fault_cell_matches_the_scalar_reference() {
+        use crate::fault_study::{score_faulted_die, FaultDieOutcome};
+        use crate::yield_study::die_seeds;
+        use subvt_exec::par_fold_chunked;
+
+        const DIES: usize = 90;
+        const SEED: u64 = 13;
         let plan = FaultPlan::uniform(0.02);
-        let scalar = StudyConfig::new(90, 13).faults(plan).run().summarize();
-        let fused = StudyMatrix::new(StudyConfig::new(90, 13))
+        let scalar = StudyConfig::new(DIES, SEED).faults(plan).run().summarize();
+        let fused = StudyMatrix::new(StudyConfig::new(DIES, SEED))
             .cell(SupplyBackendKind::Ideal, Environment::nominal(), Some(plan))
             .run();
         let faults = fused[0].as_faults().unwrap();
         assert_eq!(faults.base.encode_state(), scalar.encode_state());
+
+        // The fault-only moments too (tracking error, recovery energy,
+        // trips, injected count): the whole fused state against per-die
+        // `score_faulted_die` outcomes folded the way
+        // `YieldReport::summarize` folds, on every supply kind, both
+        // mitigation arms and several sub-batch/worker shapes.
+        for supply in [
+            SupplyBackendKind::Ideal,
+            SupplyBackendKind::Buck,
+            SupplyBackendKind::Dldo,
+        ] {
+            for mitigation in [false, true] {
+                let plan = FaultPlan::uniform(0.02).with_mitigation(mitigation);
+                let base = StudyConfig::new(DIES, SEED).supply_backend(supply);
+                let sim = supply.build_sim(base.solver);
+                let ctx = StudyContext::new(
+                    base.eval.clone(),
+                    base.load.as_dyn(),
+                    base.env,
+                    &base.variation,
+                    base.spec,
+                    base.fixed_word,
+                    base.design_word,
+                    &sim,
+                );
+                let seeds = die_seeds(&mut StdRng::seed_from_u64(SEED), DIES);
+                let outcomes: Vec<FaultDieOutcome> = seeds
+                    .iter()
+                    .map(|&s| score_faulted_die(&ctx, plan, StdRng::seed_from_u64(s)))
+                    .collect();
+                let mut reference = par_fold_chunked(
+                    &ExecConfig::serial(),
+                    DIES,
+                    FaultStudySummary::empty,
+                    |acc, i| acc.absorb(&outcomes[i]),
+                    FaultStudySummary::merge,
+                );
+                reference.base.fixed_word = base.fixed_word;
+                assert!(reference.faults_injected > 0, "the plan must inject");
+                for (batch, jobs) in [(1, 1), (7, 3), (32, 2)] {
+                    let fused = StudyMatrix::new(
+                        StudyConfig::new(DIES, SEED)
+                            .batch(batch)
+                            .exec(ExecConfig::with_jobs(jobs)),
+                    )
+                    .cell(supply, Environment::nominal(), Some(plan))
+                    .run();
+                    assert_eq!(
+                        fused[0].as_faults().unwrap().encode_state(),
+                        reference.encode_state(),
+                        "{} mitigation={mitigation} batch={batch} jobs={jobs}",
+                        supply.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 use std::fmt;
 
 use subvt_device::delay::GateMismatch;
-use subvt_device::mep::{find_mep, find_mep_eval};
+use subvt_device::mep::find_mep;
 use subvt_device::mosfet::Environment;
 use subvt_device::tabulate::DeviceEval;
-use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Volts};
 use subvt_digital::lut::{VoltageLut, VoltageWord};
 use subvt_loads::load::CircuitLoad;
@@ -54,7 +53,8 @@ impl RateController {
         RateController { lut }
     }
 
-    /// Designs the LUT for a load at a design environment:
+    /// Designs the LUT for a load at a design environment, with the
+    /// MEP search and the per-band rate sweep answered by `eval`:
     ///
     /// * the empty-queue band issues the load's MEP word (idle work is
     ///   done at minimum energy);
@@ -71,54 +71,16 @@ impl RateController {
     /// sustain a requested rate; [`DesignError::MepSearchFailed`] if
     /// the MEP cannot be located.
     pub fn design(
-        tech: &Technology,
-        load: &dyn CircuitLoad,
-        design_env: Environment,
-        band_rates: &[(usize, Hertz)],
-    ) -> Result<RateController, DesignError> {
-        let mep = find_mep(
-            tech,
-            load.profile(),
-            design_env,
-            tech.min_vdd + Volts(0.02),
-            Volts(0.9),
-        )
-        .map_err(|_| DesignError::MepSearchFailed)?;
-        let mep_word = voltage_word(mep.vopt);
-
-        let mut bounds = Vec::with_capacity(band_rates.len());
-        let mut words = vec![mep_word.max(1)];
-        for &(bound, rate) in band_rates {
-            bounds.push(bound);
-            let word = Self::word_for_rate(tech, load, design_env, rate)?;
-            // Never slower than the MEP word: the MEP is the energy
-            // floor, not a performance ceiling.
-            words.push(word.max(mep_word));
-        }
-        let lut = VoltageLut::new(bounds, words).expect("designed LUT is well-formed");
-        Ok(RateController { lut })
-    }
-
-    /// [`RateController::design`] through a [`DeviceEval`]: the MEP
-    /// search and the per-band rate sweep run on the evaluator's
-    /// surfaces (tabulated surfaces make repeated designs cheap in
-    /// Monte-Carlo studies).
-    ///
-    /// # Errors
-    ///
-    /// As [`RateController::design`].
-    pub fn design_eval(
         eval: &dyn DeviceEval,
         load: &dyn CircuitLoad,
         design_env: Environment,
         band_rates: &[(usize, Hertz)],
     ) -> Result<RateController, DesignError> {
-        let tech = eval.technology();
-        let mep = find_mep_eval(
+        let mep = find_mep(
             eval,
             load.profile(),
             design_env,
-            tech.min_vdd + Volts(0.02),
+            eval.technology().min_vdd + Volts(0.02),
             Volts(0.9),
         )
         .map_err(|_| DesignError::MepSearchFailed)?;
@@ -128,7 +90,9 @@ impl RateController {
         let mut words = vec![mep_word.max(1)];
         for &(bound, rate) in band_rates {
             bounds.push(bound);
-            let word = Self::word_for_rate_eval(eval, load, design_env, rate)?;
+            let word = Self::word_for_rate(eval, load, design_env, rate)?;
+            // Never slower than the MEP word: the MEP is the energy
+            // floor, not a performance ceiling.
             words.push(word.max(mep_word));
         }
         let lut = VoltageLut::new(bounds, words).expect("designed LUT is well-formed");
@@ -147,7 +111,7 @@ impl RateController {
     ///
     /// As [`RateController::design`].
     pub fn design_auto(
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         load: &dyn CircuitLoad,
         design_env: Environment,
         pattern: &subvt_loads::workload::WorkloadPattern,
@@ -166,7 +130,7 @@ impl RateController {
             (b2, Hertz(mean_rate.max(1.0) * 4.0)),
             (b3, Hertz(mean_rate.max(1.0) * 16.0)),
         ];
-        RateController::design(tech, load, design_env, &bands)
+        RateController::design(eval, load, design_env, &bands)
     }
 
     /// Smallest 6-bit word at which `load` sustains `rate`.
@@ -175,28 +139,6 @@ impl RateController {
     ///
     /// [`DesignError::RateUnreachable`] when even word 63 is too slow.
     pub fn word_for_rate(
-        tech: &Technology,
-        load: &dyn CircuitLoad,
-        env: Environment,
-        rate: Hertz,
-    ) -> Result<VoltageWord, DesignError> {
-        for word in 1u8..64 {
-            let v = word_voltage(word);
-            if let Ok(max) = load.max_rate(tech, v, env, GateMismatch::NOMINAL) {
-                if max.value() >= rate.value() {
-                    return Ok(word);
-                }
-            }
-        }
-        Err(DesignError::RateUnreachable { rate })
-    }
-
-    /// [`RateController::word_for_rate`] through a [`DeviceEval`].
-    ///
-    /// # Errors
-    ///
-    /// [`DesignError::RateUnreachable`] when even word 63 is too slow.
-    pub fn word_for_rate_eval(
         eval: &dyn DeviceEval,
         load: &dyn CircuitLoad,
         env: Environment,
@@ -204,7 +146,7 @@ impl RateController {
     ) -> Result<VoltageWord, DesignError> {
         for word in 1u8..64 {
             let v = word_voltage(word);
-            if let Ok(max) = load.max_rate_with(eval, v, env, GateMismatch::NOMINAL) {
+            if let Ok(max) = load.max_rate(eval, v, env, GateMismatch::NOMINAL) {
                 if max.value() >= rate.value() {
                     return Ok(word);
                 }
@@ -281,10 +223,16 @@ pub struct LutCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subvt_device::tabulate::AnalyticEval;
+    use subvt_device::technology::Technology;
     use subvt_loads::ring_oscillator::RingOscillator;
 
-    fn designed() -> (Technology, RateController) {
-        let tech = Technology::st_130nm();
+    fn analytic() -> AnalyticEval {
+        AnalyticEval::new(&Technology::st_130nm())
+    }
+
+    fn designed() -> (AnalyticEval, RateController) {
+        let tech = analytic();
         let ring = RingOscillator::paper_circuit();
         let rc = RateController::design(
             &tech,
@@ -327,7 +275,7 @@ mod tests {
 
     #[test]
     fn word_for_rate_is_minimal() {
-        let tech = Technology::st_130nm();
+        let tech = analytic();
         let ring = RingOscillator::paper_circuit();
         let env = Environment::nominal();
         let word = RateController::word_for_rate(&tech, &ring, env, Hertz(1e6)).unwrap();
@@ -345,7 +293,7 @@ mod tests {
 
     #[test]
     fn unreachable_rate_is_an_error() {
-        let tech = Technology::st_130nm();
+        let tech = analytic();
         let ring = RingOscillator::paper_circuit();
         let err = RateController::word_for_rate(&tech, &ring, Environment::nominal(), Hertz(1e12))
             .unwrap_err();
@@ -356,7 +304,7 @@ mod tests {
     #[test]
     fn auto_design_fits_its_bands_inside_the_fifo() {
         use subvt_loads::workload::WorkloadPattern;
-        let tech = Technology::st_130nm();
+        let tech = analytic();
         let ring = RingOscillator::paper_circuit();
         let pattern = WorkloadPattern::Poisson { mean: 0.5 };
         for depth in [16usize, 32, 64] {
@@ -388,7 +336,7 @@ mod tests {
         let pattern = WorkloadPattern::Poisson { mean: 0.5 };
         let depth = 32usize;
         let rc = RateController::design_auto(
-            &tech,
+            &AnalyticEval::new(&tech),
             &ring,
             Environment::nominal(),
             &pattern,
@@ -422,24 +370,17 @@ mod tests {
     }
 
     #[test]
-    fn eval_design_reproduces_the_analytic_lut() {
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
-        let tech = Technology::st_130nm();
+    fn tabulated_design_reproduces_the_analytic_lut() {
+        use subvt_device::tabulate::TabulatedEval;
+        let (tech, exact) = designed();
         let ring = RingOscillator::paper_circuit();
-        let env = Environment::nominal();
         let bands = [(8, Hertz(50e3)), (16, Hertz(500e3)), (32, Hertz(5e6))];
-        let direct = RateController::design(&tech, &ring, env, &bands).unwrap();
-        let analytic = AnalyticEval::new(&tech);
-        let via_analytic = RateController::design_eval(&analytic, &ring, env, &bands).unwrap();
-        assert_eq!(
-            direct, via_analytic,
-            "analytic eval must design identically"
-        );
         // LUT words quantize to 18.75 mV LSBs, far coarser than the
         // interpolation budget: the tabulated design picks the same LUT.
-        let tabulated = TabulatedEval::new(&tech);
-        let via_table = RateController::design_eval(&tabulated, &ring, env, &bands).unwrap();
-        assert_eq!(direct, via_table, "tabulated design diverged");
+        let tabulated = TabulatedEval::new(tech.technology());
+        let via_table =
+            RateController::design(&tabulated, &ring, Environment::nominal(), &bands).unwrap();
+        assert_eq!(exact, via_table, "tabulated design diverged");
     }
 
     #[test]

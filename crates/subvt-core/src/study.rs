@@ -48,7 +48,7 @@ pub use subvt_faults::FaultPlan;
 use crate::fault_study::{score_faulted_die, FaultStudySummary};
 use crate::matrix::{run_cells, CellSummary, MatrixCell};
 use crate::yield_study::{
-    analytic, die_seeds, StudyContext, SupplySim, YieldReport, YieldSpec, YieldSummary,
+    die_seeds, StudyContext, SupplySim, YieldReport, YieldSpec, YieldSummary,
 };
 
 /// The circuit a study exercises: the paper's ring oscillator unless
@@ -196,8 +196,7 @@ impl From<CheckpointError> for StudyError {
 pub struct StudyConfig<'a> {
     pub(crate) dies: usize,
     pub(crate) seed: u64,
-    pub(crate) tech: Technology,
-    pub(crate) eval: Option<SharedEval>,
+    pub(crate) eval: SharedEval,
     pub(crate) env: Environment,
     pub(crate) variation: VariationModel,
     pub(crate) spec: YieldSpec,
@@ -230,8 +229,7 @@ impl<'a> StudyConfig<'a> {
         StudyConfig {
             dies,
             seed,
-            tech: Technology::st_130nm(),
-            eval: None,
+            eval: EvalMode::Analytic.build(&Technology::st_130nm()),
             env: Environment::nominal(),
             variation: VariationModel::st_130nm(),
             spec: YieldSpec {
@@ -252,24 +250,12 @@ impl<'a> StudyConfig<'a> {
         }
     }
 
-    /// Technology for the default (analytic) evaluator. Ignored when an
-    /// explicit [`StudyConfig::eval`] is set.
-    pub fn tech(mut self, tech: Technology) -> StudyConfig<'a> {
-        self.tech = tech;
-        self
-    }
-
-    /// Explicit shared evaluator (e.g. tabulated surfaces).
+    /// The device model every die is scored on (default: analytic
+    /// ST 130 nm). The evaluator carries its technology, so
+    /// `EvalMode::build(&tech)` selects both the model and the node.
     pub fn eval(mut self, eval: SharedEval) -> StudyConfig<'a> {
-        self.eval = Some(eval);
+        self.eval = eval;
         self
-    }
-
-    /// Evaluator by mode, built from the configured technology — set
-    /// [`StudyConfig::tech`] first if it isn't the default.
-    pub fn eval_mode(self, mode: EvalMode) -> StudyConfig<'a> {
-        let eval = mode.build(&self.tech);
-        self.eval(eval)
     }
 
     /// Operating environment (default nominal).
@@ -381,20 +367,15 @@ impl<'a> StudyConfig<'a> {
         self.faults
     }
 
-    pub(crate) fn resolved_eval(&self) -> SharedEval {
-        self.eval.clone().unwrap_or_else(|| analytic(&self.tech))
-    }
-
     /// Runs the study, materializing every die outcome. This is the
     /// scalar reference path: each die is scored on its own through
     /// `StudyContext::score_die` (or the faulted walk), independently
     /// of the batched engine behind the summary terminals, which the
     /// equivalence suites compare against it.
     pub fn run(&self) -> YieldReport {
-        let eval = self.resolved_eval();
         let supply = self.supply.build_sim(self.solver);
         let ctx = StudyContext::new(
-            eval,
+            self.eval.clone(),
             self.load.as_dyn(),
             self.env,
             &self.variation,
@@ -530,15 +511,13 @@ impl<'a> StudyConfig<'a> {
         env: Environment,
         faults: Option<FaultPlan>,
     ) -> String {
-        let eval_tag = match &self.eval {
-            None => "analytic".to_owned(),
-            Some(eval) => {
-                let dbg = format!("{eval:?}");
-                dbg.split([' ', '(', '{'])
-                    .next()
-                    .unwrap_or("custom")
-                    .to_owned()
-            }
+        // The paper's node keeps the bare model label, so existing
+        // ST 130 nm fingerprints stay valid; any other node is named.
+        let tech = self.eval.technology();
+        let eval_tag = if *tech == Technology::st_130nm() {
+            self.eval.label().to_owned()
+        } else {
+            format!("{}@{}", self.eval.label(), tech.name)
         };
         format!(
             "subvt-study-v1 kind={kind} dies={} seed={} words={}/{} \
@@ -893,12 +872,10 @@ impl StudyArgs {
     /// everything the flags don't cover).
     pub fn study(&self) -> StudyConfig<'static> {
         let mut cfg = StudyConfig::new(self.dies, self.seed)
+            .eval(self.eval.build(&Technology::st_130nm()))
             .supply_backend(self.supply)
             .solver(self.solver)
             .exec(self.exec());
-        if self.eval != EvalMode::default() {
-            cfg = cfg.eval_mode(self.eval);
-        }
         if let Some(plan) = self.fault_plan() {
             cfg = cfg.faults(plan);
         }
@@ -1161,6 +1138,23 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn the_eval_tag_names_the_model_and_any_node_but_the_paper_s() {
+        let text = |eval: SharedEval| {
+            StudyConfig::new(10, 1)
+                .eval(eval)
+                .fingerprint_text("summary")
+        };
+        let default = StudyConfig::new(10, 1).fingerprint_text("summary");
+        assert!(default.contains(" eval=analytic supply="), "{default}");
+        let st130 = Technology::st_130nm();
+        assert_eq!(text(EvalMode::Analytic.build(&st130)), default);
+        let tab = text(EvalMode::Tabulated.build(&st130));
+        assert!(tab.contains(" eval=tabulated supply="), "{tab}");
+        let n65 = text(EvalMode::Analytic.build(&Technology::generic_65nm()));
+        assert!(n65.contains(" eval=analytic@generic-65nm supply="), "{n65}");
     }
 
     #[test]

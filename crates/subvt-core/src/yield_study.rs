@@ -8,8 +8,6 @@
 //! Monte-Carlo-samples a die population and scores both designs against
 //! the same spec.
 
-use std::sync::Arc;
-
 use subvt_exec::checkpoint::{CheckpointError, StateReader, StateWriter};
 use subvt_exec::{par_fold_chunked, ExecConfig, Welford};
 use subvt_rng::{Rng, StdRng};
@@ -18,8 +16,7 @@ use subvt_dcdc::converter::ConverterParams;
 use subvt_device::constants::DCDC_LSB;
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::{AnalyticEval, CachedEval, DeviceEval, SharedEval};
-use subvt_device::technology::Technology;
+use subvt_device::tabulate::{CachedEval, DeviceEval, SharedEval};
 use subvt_device::units::{Hertz, Joules, Volts};
 use subvt_device::variation::VariationModel;
 use subvt_digital::lut::VoltageWord;
@@ -412,12 +409,12 @@ impl<'a> StudyContext<'a> {
     ) -> (bool, Joules) {
         let rate_ok = self
             .load
-            .max_rate_with(eval, v_rate, self.env, die)
+            .max_rate(eval, v_rate, self.env, die)
             .map(|r| r.value() >= self.spec.min_rate.value())
             .unwrap_or(false);
         let energy = self
             .load
-            .energy_per_op_with(eval, v_energy, self.env)
+            .energy_per_op(eval, v_energy, self.env)
             .map(|e| e.total())
             .unwrap_or(Joules(f64::INFINITY));
         (
@@ -516,16 +513,12 @@ pub(crate) fn die_seeds<R: Rng + ?Sized>(rng: &mut R, dies: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Wraps a technology in the analytic evaluator (the default study
-/// path, bit-identical to the pre-evaluator implementation).
-pub(crate) fn analytic(tech: &Technology) -> SharedEval {
-    Arc::new(AnalyticEval::new(tech))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::study::{StudyConfig, SupplyBackendKind};
+    use subvt_device::tabulate::EvalMode;
+    use subvt_device::technology::Technology;
 
     fn study(spec: YieldSpec, fixed_word: VoltageWord) -> YieldReport {
         // Defaults cover the paper configuration (ST 130 nm, nominal
@@ -660,14 +653,12 @@ mod tests {
 
     #[test]
     fn tabulated_study_tracks_the_analytic_yield() {
-        use subvt_device::tabulate::TabulatedEval;
-        let tech = Technology::st_130nm();
         let cfg = ExecConfig::with_jobs(2);
         let reference = StudyConfig::new(200, 77)
             .spec(tight_spec())
             .exec(cfg)
             .run_summary();
-        let tab: SharedEval = Arc::new(TabulatedEval::new(&tech));
+        let tab = EvalMode::Tabulated.build(&Technology::st_130nm());
         let tabulated = StudyConfig::new(200, 77)
             .spec(tight_spec())
             .eval(tab)
@@ -705,13 +696,12 @@ mod tests {
     #[test]
     fn explicit_analytic_eval_is_bit_identical_to_default() {
         // Spelling out the default evaluator must not perturb a single
-        // bit of the study — the builder's implicit `analytic(&tech)`
-        // and an explicit one share the whole scoring path.
-        let tech = Technology::st_130nm();
+        // bit of the study — the builder's implicit analytic ST 130 nm
+        // evaluator and an explicit one share the whole scoring path.
         let default = StudyConfig::new(50, 5).spec(tight_spec()).run();
         let explicit = StudyConfig::new(50, 5)
             .spec(tight_spec())
-            .eval(analytic(&tech))
+            .eval(EvalMode::Analytic.build(&Technology::st_130nm()))
             .run();
         assert_eq!(default, explicit);
     }

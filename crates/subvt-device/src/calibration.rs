@@ -19,6 +19,7 @@ use crate::energy::CircuitProfile;
 use crate::mep::find_mep;
 use crate::mosfet::Environment;
 use crate::optimize::{nelder_mead, NelderMeadOptions};
+use crate::tabulate::AnalyticEval;
 use crate::technology::{GateKind, Technology};
 use crate::units::{Joules, Seconds, Volts};
 
@@ -182,12 +183,13 @@ pub fn fit_energy_profile(
     v_lo: Volts,
     v_hi: Volts,
 ) -> EnergyFit {
+    let eval = AnalyticEval::new(tech);
     let objective = |x: &[f64]| -> f64 {
         let (log_cap, log_leak) = (x[0], x[1]);
         let mut p = profile.clone();
         p.cap_scale = log_cap.exp();
         p.leak_scale = log_leak.exp();
-        match find_mep(tech, &p, env, v_lo, v_hi) {
+        match find_mep(&eval, &p, env, v_lo, v_hi) {
             Ok(mep) => {
                 let ev = (mep.vopt.volts() / target.vopt.volts()).ln();
                 let ee = (mep.energy.value() / target.energy.value()).ln();
@@ -207,7 +209,7 @@ pub fn fit_energy_profile(
     let mut fitted = profile.clone();
     fitted.cap_scale = m.x[0].exp();
     fitted.leak_scale = m.x[1].exp();
-    let mep = find_mep(tech, &fitted, env, v_lo, v_hi).expect("fit produced invalid profile");
+    let mep = find_mep(&eval, &fitted, env, v_lo, v_hi).expect("fit produced invalid profile");
     EnergyFit {
         cap_scale: fitted.cap_scale,
         leak_scale: fitted.leak_scale,

@@ -32,13 +32,14 @@
 //! use subvt_device::energy::CircuitProfile;
 //! use subvt_device::mep::find_mep;
 //! use subvt_device::mosfet::Environment;
+//! use subvt_device::tabulate::AnalyticEval;
 //! use subvt_device::technology::Technology;
 //! use subvt_device::units::Volts;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let tech = Technology::st_130nm();
+//! let eval = AnalyticEval::new(&Technology::st_130nm());
 //! let ring = CircuitProfile::ring_oscillator_uncalibrated();
-//! let mep = find_mep(&tech, &ring, Environment::nominal(), Volts(0.12), Volts(0.9))?;
+//! let mep = find_mep(&eval, &ring, Environment::nominal(), Volts(0.12), Volts(0.9))?;
 //! println!("Vopt = {:.0} mV, E = {:.2} fJ", mep.vopt.millivolts(), mep.energy.femtos());
 //! assert!(mep.vopt.volts() < 0.287); // below threshold
 //! # Ok(())
@@ -69,9 +70,11 @@ pub use body_bias::{BodyBias, BodyEffect};
 pub use corner::ProcessCorner;
 pub use delay::{GateMismatch, GateTiming, SupplyRangeError};
 pub use energy::{energy_per_cycle, CircuitProfile, EnergyBreakdown};
-pub use mep::{energy_sweep, energy_sweep_eval, find_mep, find_mep_eval, MepPoint};
+pub use mep::{energy_sweep, find_mep, MepPoint};
 pub use metrics::MetricsSnapshot;
-pub use mosfet::{DeviceType, Environment, MosfetParams};
+pub use mosfet::{
+    check_celsius, DeviceType, Environment, MosfetParams, TemperatureRangeError, SUPPORTED_CELSIUS,
+};
 pub use noise_margin::{minimum_operational_vdd, static_noise_margin, switching_threshold};
 pub use sizing::{sizing_sweep, SizingPoint};
 pub use tabulate::{

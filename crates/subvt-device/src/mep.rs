@@ -5,11 +5,10 @@
 //! golden-section search for the optimum supply voltage `Vopt`.
 
 use crate::delay::SupplyRangeError;
-use crate::energy::{energy_per_cycle, CircuitProfile, EnergyBreakdown};
+use crate::energy::{CircuitProfile, EnergyBreakdown};
 use crate::mosfet::Environment;
 use crate::optimize::golden_section;
 use crate::tabulate::DeviceEval;
-use crate::technology::Technology;
 use crate::units::{Joules, Volts};
 
 /// A located minimum-energy point.
@@ -24,7 +23,9 @@ pub struct MepPoint {
 }
 
 /// Finds the minimum-energy point of `profile` in `env` over
-/// `[v_lo, v_hi]`.
+/// `[v_lo, v_hi]`, with every energy sample answered by `eval` (the
+/// tabulated evaluators serve the ~90 samples of the golden-section
+/// search from their interpolation surfaces).
 ///
 /// # Errors
 ///
@@ -38,63 +39,35 @@ pub struct MepPoint {
 /// ```
 /// # use subvt_device::mep::find_mep;
 /// # use subvt_device::energy::CircuitProfile;
+/// # use subvt_device::tabulate::AnalyticEval;
 /// # use subvt_device::technology::Technology;
 /// # use subvt_device::mosfet::Environment;
 /// # use subvt_device::units::Volts;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let tech = Technology::st_130nm();
 /// let ring = CircuitProfile::ring_oscillator_uncalibrated();
-/// let mep = find_mep(&tech, &ring, Environment::nominal(), Volts(0.12), Volts(0.9))?;
+/// let mep = find_mep(&AnalyticEval::new(&tech), &ring, Environment::nominal(), Volts(0.12), Volts(0.9))?;
 /// assert!(mep.vopt.volts() > 0.12 && mep.vopt.volts() < 0.5);
 /// # Ok(())
 /// # }
 /// ```
 pub fn find_mep(
-    tech: &Technology,
-    profile: &CircuitProfile,
-    env: Environment,
-    v_lo: Volts,
-    v_hi: Volts,
-) -> Result<MepPoint, SupplyRangeError> {
-    find_mep_impl(|v| energy_per_cycle(tech, profile, v, env), v_lo, v_hi)
-}
-
-/// [`find_mep`] through an explicit [`DeviceEval`] — the tabulated
-/// evaluators answer the ~90 energy samples of the golden-section
-/// search from their interpolation surfaces.
-///
-/// # Errors
-///
-/// Returns [`SupplyRangeError`] when `v_lo` is below the technology's
-/// functional floor.
-///
-/// # Panics
-///
-/// Panics if `v_lo >= v_hi`.
-pub fn find_mep_eval(
     eval: &dyn DeviceEval,
     profile: &CircuitProfile,
     env: Environment,
     v_lo: Volts,
     v_hi: Volts,
 ) -> Result<MepPoint, SupplyRangeError> {
-    find_mep_impl(|v| eval.energy(profile, v, env), v_lo, v_hi)
-}
-
-fn find_mep_impl<E>(energy: E, v_lo: Volts, v_hi: Volts) -> Result<MepPoint, SupplyRangeError>
-where
-    E: Fn(Volts) -> Result<EnergyBreakdown, SupplyRangeError>,
-{
     assert!(v_lo < v_hi, "invalid voltage bracket");
     // Validate the lower edge once so the closure below can't fail.
-    energy(v_lo)?;
+    eval.energy(profile, v_lo, env)?;
     // Stash the breakdown of the best sample as the search evaluates
     // it, mirroring `golden_section`'s strict-< tie rule so the stashed
     // sample is exactly the one the minimizer returns — no re-eval at
     // the optimum.
     let mut best: Option<EnergyBreakdown> = None;
     let m = golden_section(
-        |v| match energy(Volts(v)) {
+        |v| match eval.energy(profile, Volts(v), env) {
             Ok(e) => {
                 let total = e.total().value();
                 if best.is_none_or(|b| total < b.total().value()) {
@@ -117,7 +90,8 @@ where
     })
 }
 
-/// Sweeps energy vs supply voltage (the raw series of Figs. 1-2).
+/// Sweeps energy vs supply voltage (the raw series of Figs. 1-2)
+/// through `eval`.
 ///
 /// Points below the technology's functional floor are skipped, which is
 /// why the returned series may be shorter than `steps + 1`.
@@ -126,29 +100,6 @@ where
 ///
 /// Panics if `v_lo >= v_hi` or `steps == 0`.
 pub fn energy_sweep(
-    tech: &Technology,
-    profile: &CircuitProfile,
-    env: Environment,
-    v_lo: Volts,
-    v_hi: Volts,
-    steps: usize,
-) -> Vec<EnergyBreakdown> {
-    assert!(v_lo < v_hi, "invalid voltage bracket");
-    assert!(steps > 0, "need at least one step");
-    (0..=steps)
-        .filter_map(|i| {
-            let v = v_lo.volts() + (v_hi.volts() - v_lo.volts()) * (i as f64) / (steps as f64);
-            energy_per_cycle(tech, profile, Volts(v), env).ok()
-        })
-        .collect()
-}
-
-/// [`energy_sweep`] through an explicit [`DeviceEval`].
-///
-/// # Panics
-///
-/// Panics if `v_lo >= v_hi` or `steps == 0`.
-pub fn energy_sweep_eval(
     eval: &dyn DeviceEval,
     profile: &CircuitProfile,
     env: Environment,
@@ -170,10 +121,12 @@ pub fn energy_sweep_eval(
 mod tests {
     use super::*;
     use crate::corner::ProcessCorner;
+    use crate::tabulate::AnalyticEval;
+    use crate::technology::Technology;
 
-    fn fixture() -> (Technology, CircuitProfile) {
+    fn fixture() -> (AnalyticEval, CircuitProfile) {
         (
-            Technology::st_130nm(),
+            AnalyticEval::new(&Technology::st_130nm()),
             CircuitProfile::ring_oscillator_uncalibrated(),
         )
     }
@@ -245,7 +198,7 @@ mod tests {
             24,
         );
         assert!(!series.is_empty());
-        assert!(series.iter().all(|e| e.vdd >= tech.min_vdd));
+        assert!(series.iter().all(|e| e.vdd >= tech.technology().min_vdd));
         assert!(series.len() < 25);
     }
 
@@ -295,7 +248,7 @@ mod tests {
     fn calibrated_ring_reproduces_fig1_loci() {
         // Paper Fig. 1: Vopt = 200 mV (TT), 220 mV (SS), 250 mV (FS);
         // Emin = 2.65 fJ (TT), 1.70 fJ (SS), 2.42 fJ (FS).
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let ring = CircuitProfile::ring_oscillator();
         let targets = [
             (ProcessCorner::Tt, 200.0, 2.65),
@@ -328,7 +281,7 @@ mod tests {
     fn fig1_spread_matches_paper_claims() {
         // Sec. II: "a variation in the Vopt of 25% and the energy
         // variation of 55%" across the plotted corners.
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let ring = CircuitProfile::ring_oscillator();
         let meps: Vec<MepPoint> = ProcessCorner::FIGURE_CORNERS
             .iter()
@@ -354,32 +307,27 @@ mod tests {
     }
 
     #[test]
-    fn eval_variants_track_the_analytic_mep() {
-        use crate::tabulate::{AnalyticEval, TabulatedEval, ACCURACY_BUDGET};
+    fn tabulated_eval_tracks_the_analytic_mep() {
+        use crate::tabulate::{TabulatedEval, ACCURACY_BUDGET};
         let tech = Technology::st_130nm();
         let ring = CircuitProfile::ring_oscillator();
         let env = Environment::nominal();
-        let direct = find_mep(&tech, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
-
-        // The analytic evaluator is the same math — bit-identical.
         let analytic = AnalyticEval::new(&tech);
-        let via_eval = find_mep_eval(&analytic, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
-        assert_eq!(via_eval.vopt, direct.vopt);
-        assert_eq!(via_eval.energy, direct.energy);
+        let exact = find_mep(&analytic, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
 
         // The tabulated evaluator lands within the accuracy budget.
         let tab = TabulatedEval::new(&tech);
-        let t = find_mep_eval(&tab, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
-        let e_err = (t.energy.value() - direct.energy.value()).abs() / direct.energy.value();
+        let t = find_mep(&tab, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
+        let e_err = (t.energy.value() - exact.energy.value()).abs() / exact.energy.value();
         assert!(e_err < ACCURACY_BUDGET, "energy err {e_err}");
         assert!(
-            (t.vopt.volts() - direct.vopt.volts()).abs() < 0.005,
+            (t.vopt.volts() - exact.vopt.volts()).abs() < 0.005,
             "vopt moved"
         );
 
-        // Sweep variant agrees point-by-point within budget.
-        let sa = energy_sweep(&tech, &ring, env, Volts(0.12), Volts(0.6), 24);
-        let st = energy_sweep_eval(&tab, &ring, env, Volts(0.12), Volts(0.6), 24);
+        // The sweep agrees point-by-point within budget.
+        let sa = energy_sweep(&analytic, &ring, env, Volts(0.12), Volts(0.6), 24);
+        let st = energy_sweep(&tab, &ring, env, Volts(0.12), Volts(0.6), 24);
         assert_eq!(sa.len(), st.len());
         for (a, t) in sa.iter().zip(&st) {
             let err = (t.total().value() - a.total().value()).abs() / a.total().value();

@@ -15,6 +15,9 @@
 //! moderate-inversion transition, which is exactly the curvature that
 //! makes the minimum-energy point move with process and temperature.
 
+use std::fmt;
+use std::ops::RangeInclusive;
+
 use crate::constants::{nominal_temperature, thermal_voltage};
 use crate::corner::ProcessCorner;
 use crate::units::{Amps, Kelvin, Volts};
@@ -86,6 +89,49 @@ impl Environment {
     /// Replaces the corner, keeping the temperature.
     pub fn with_corner(self, corner: ProcessCorner) -> Environment {
         Environment { corner, ..self }
+    }
+}
+
+/// Die temperatures the device model supports, in °C: the military
+/// range, which covers every study temperature and the tabulated
+/// surfaces' −40..125 °C grid. Far outside it the model's thermal
+/// voltage and threshold tempco leave their physical regime (at
+/// −273 °C the replica delay is no longer a number).
+pub const SUPPORTED_CELSIUS: RangeInclusive<f64> = -55.0..=150.0;
+
+/// A die temperature outside [`SUPPORTED_CELSIUS`], or not finite.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TemperatureRangeError {
+    /// The rejected temperature in °C.
+    pub celsius: f64,
+}
+
+impl fmt::Display for TemperatureRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "temperature {} °C is outside the supported range {}..={} °C",
+            self.celsius,
+            SUPPORTED_CELSIUS.start(),
+            SUPPORTED_CELSIUS.end()
+        )
+    }
+}
+
+impl std::error::Error for TemperatureRangeError {}
+
+/// Checks a die temperature in °C against [`SUPPORTED_CELSIUS`] — the
+/// one domain check every temperature input (CLI flag, scenario key)
+/// goes through before it reaches the model.
+///
+/// # Errors
+///
+/// [`TemperatureRangeError`] for a non-finite or out-of-range value.
+pub fn check_celsius(celsius: f64) -> Result<f64, TemperatureRangeError> {
+    if SUPPORTED_CELSIUS.contains(&celsius) {
+        Ok(celsius)
+    } else {
+        Err(TemperatureRangeError { celsius })
     }
 }
 
@@ -348,5 +394,23 @@ mod tests {
         let e2 = e.with_corner(ProcessCorner::Ff);
         assert_eq!(e2.corner, ProcessCorner::Ff);
         assert!((e2.temperature.celsius() - 85.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn temperature_domain_check() {
+        for ok in [-55.0, -40.0, 25.0, 115.0, 125.0, 150.0] {
+            assert_eq!(check_celsius(ok), Ok(ok));
+        }
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -273.0,
+            -56.0,
+            151.0,
+        ] {
+            let e = check_celsius(bad).unwrap_err();
+            assert!(e.to_string().contains("-55..=150 °C"), "{e}");
+        }
     }
 }

@@ -244,6 +244,11 @@ pub trait DeviceEval: fmt::Debug + Send + Sync {
     /// The technology this evaluator answers for.
     fn technology(&self) -> &Technology;
 
+    /// Short name of the evaluation model (`analytic`, `tabulated`;
+    /// the [`EvalMode`] labels). With [`DeviceEval::technology`] it
+    /// names the model in a study's checkpoint fingerprint.
+    fn label(&self) -> &'static str;
+
     /// Propagation delay of `kind` at `vdd` in `env` with local
     /// mismatch and fanout — the tabulated analogue of
     /// [`GateTiming::gate_delay_with`].
@@ -580,6 +585,10 @@ fn mismatch_lanes(ms: &[GateMismatch]) -> (F64x4, F64x4) {
 impl DeviceEval for AnalyticEval {
     fn technology(&self) -> &Technology {
         &self.tech
+    }
+
+    fn label(&self) -> &'static str {
+        EvalMode::Analytic.label()
     }
 
     fn gate_delay(
@@ -1080,6 +1089,10 @@ impl DeviceEval for TabulatedEval {
         &self.tech
     }
 
+    fn label(&self) -> &'static str {
+        EvalMode::Tabulated.label()
+    }
+
     fn gate_delay(
         &self,
         kind: GateKind,
@@ -1468,6 +1481,10 @@ impl<'a> CachedEval<'a> {
 impl DeviceEval for CachedEval<'_> {
     fn technology(&self) -> &Technology {
         self.source.get().technology()
+    }
+
+    fn label(&self) -> &'static str {
+        self.source.get().label()
     }
 
     fn gate_delay(

@@ -8,9 +8,10 @@
 //! critical path — the carry chain — scales with the word width, and a
 //! structural gate-level build for cross-validation.
 
-use subvt_device::delay::{GateMismatch, GateTiming, SupplyRangeError};
+use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::{GateKind, Technology};
 use subvt_device::units::{Seconds, Volts};
 use subvt_sim::logic::Logic;
@@ -86,8 +87,13 @@ impl RippleCarryAdder {
         env: Environment,
         netlist: &mut Netlist,
     ) -> Result<(Vec<SignalId>, Vec<SignalId>, Vec<SignalId>, SignalId), SupplyRangeError> {
-        let timing = GateTiming::new(tech);
-        let t = timing.gate_delay(GateKind::Nand2, vdd, env)?;
+        let t = AnalyticEval::new(tech).gate_delay(
+            GateKind::Nand2,
+            vdd,
+            env,
+            GateMismatch::NOMINAL,
+            1.0,
+        )?;
         let d = SimDuration::from_seconds(t.value());
 
         let a: Vec<SignalId> = (0..self.width)
@@ -129,12 +135,12 @@ impl CircuitLoad for RippleCarryAdder {
 
     fn critical_path(
         &self,
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatch: GateMismatch,
     ) -> Result<Seconds, SupplyRangeError> {
-        let t = GateTiming::new(tech).gate_delay_with(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
+        let t = eval.gate_delay(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
         Ok(t * self.profile.depth)
     }
 }
@@ -142,6 +148,7 @@ impl CircuitLoad for RippleCarryAdder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subvt_device::delay::GateTiming;
     use subvt_sim::time::SimTime;
 
     #[test]
@@ -161,7 +168,7 @@ mod tests {
 
     #[test]
     fn critical_path_scales_with_width() {
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let env = Environment::nominal();
         let narrow = RippleCarryAdder::new(8);
         let wide = RippleCarryAdder::new(32);
@@ -179,7 +186,7 @@ mod tests {
     #[test]
     fn adder_has_a_subthreshold_mep() {
         use subvt_device::mep::find_mep;
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let adder = RippleCarryAdder::new(16);
         let mep = find_mep(
             &tech,

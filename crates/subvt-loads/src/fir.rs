@@ -7,10 +7,11 @@
 //! switching factor) so the controller can reason about its energy and
 //! timing like any other load.
 
-use subvt_device::delay::{GateMismatch, GateTiming, SupplyRangeError};
+use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mosfet::Environment;
-use subvt_device::technology::{GateKind, Technology};
+use subvt_device::tabulate::DeviceEval;
+use subvt_device::technology::GateKind;
 use subvt_device::units::{Seconds, Volts};
 
 use crate::load::CircuitLoad;
@@ -113,12 +114,12 @@ impl CircuitLoad for FirFilter {
 
     fn critical_path(
         &self,
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatch: GateMismatch,
     ) -> Result<Seconds, SupplyRangeError> {
-        let t = GateTiming::new(tech).gate_delay_with(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
+        let t = eval.gate_delay(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
         Ok(t * self.profile.depth)
     }
 }
@@ -126,6 +127,8 @@ impl CircuitLoad for FirFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subvt_device::tabulate::AnalyticEval;
+    use subvt_device::technology::Technology;
 
     #[test]
     fn dc_gain_is_near_unity() {
@@ -195,7 +198,7 @@ mod tests {
     #[test]
     fn fir_is_slower_than_ring_per_operation() {
         // Deeper pipeline: longer critical path at the same voltage.
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let env = Environment::nominal();
         let fir = FirFilter::lowpass_9tap();
         let ring = crate::ring_oscillator::RingOscillator::with_stages(9, 0.1);
@@ -212,7 +215,7 @@ mod tests {
     #[test]
     fn fir_has_its_own_subthreshold_mep() {
         use subvt_device::mep::find_mep;
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let fir = FirFilter::lowpass_9tap();
         let mep = find_mep(
             &tech,

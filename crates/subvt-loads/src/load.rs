@@ -1,10 +1,9 @@
 //! The load abstraction the adaptive controller drives.
 
 use subvt_device::delay::{GateMismatch, SupplyRangeError};
-use subvt_device::energy::{energy_per_cycle, CircuitProfile, EnergyBreakdown};
+use subvt_device::energy::{CircuitProfile, EnergyBreakdown};
 use subvt_device::mosfet::Environment;
 use subvt_device::tabulate::DeviceEval;
-use subvt_device::technology::Technology;
 use subvt_device::units::{Amps, Hertz, Seconds, Volts};
 
 /// A digital circuit that can serve as the controller's load: it has a
@@ -22,7 +21,8 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
     /// The electrical profile used for energy analysis.
     fn profile(&self) -> &CircuitProfile;
 
-    /// Critical-path delay at the given operating point.
+    /// Critical-path delay at the given operating point, with the
+    /// gate delays answered by `eval` (analytic or tabulated surfaces).
     ///
     /// # Errors
     ///
@@ -30,7 +30,7 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
     /// floor.
     fn critical_path(
         &self,
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatch: GateMismatch,
@@ -43,12 +43,12 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
     /// As [`CircuitLoad::critical_path`].
     fn max_rate(
         &self,
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatch: GateMismatch,
     ) -> Result<Hertz, SupplyRangeError> {
-        Ok(self.critical_path(tech, vdd, env, mismatch)?.to_frequency())
+        Ok(self.critical_path(eval, vdd, env, mismatch)?.to_frequency())
     }
 
     /// Energy breakdown of one operation.
@@ -57,56 +57,6 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
     ///
     /// As [`CircuitLoad::critical_path`].
     fn energy_per_op(
-        &self,
-        tech: &Technology,
-        vdd: Volts,
-        env: Environment,
-    ) -> Result<EnergyBreakdown, SupplyRangeError> {
-        energy_per_cycle(tech, self.profile(), vdd, env)
-    }
-
-    /// Critical-path delay through a [`DeviceEval`] (analytic or
-    /// tabulated surfaces). The default falls back to the direct
-    /// analytic path via the evaluator's technology; implementors with
-    /// a gate-level critical path should override it to route the gate
-    /// delays through `eval`.
-    ///
-    /// # Errors
-    ///
-    /// As [`CircuitLoad::critical_path`].
-    fn critical_path_with(
-        &self,
-        eval: &dyn DeviceEval,
-        vdd: Volts,
-        env: Environment,
-        mismatch: GateMismatch,
-    ) -> Result<Seconds, SupplyRangeError> {
-        self.critical_path(eval.technology(), vdd, env, mismatch)
-    }
-
-    /// Maximum operation rate through a [`DeviceEval`].
-    ///
-    /// # Errors
-    ///
-    /// As [`CircuitLoad::critical_path`].
-    fn max_rate_with(
-        &self,
-        eval: &dyn DeviceEval,
-        vdd: Volts,
-        env: Environment,
-        mismatch: GateMismatch,
-    ) -> Result<Hertz, SupplyRangeError> {
-        Ok(self
-            .critical_path_with(eval, vdd, env, mismatch)?
-            .to_frequency())
-    }
-
-    /// Energy breakdown of one operation through a [`DeviceEval`].
-    ///
-    /// # Errors
-    ///
-    /// As [`CircuitLoad::critical_path`].
-    fn energy_per_op_with(
         &self,
         eval: &dyn DeviceEval,
         vdd: Volts,
@@ -117,7 +67,7 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
 
     /// Critical-path delays for a whole lane of per-die mismatches at
     /// one (vdd, env) operating point — the batched-study shape. The
-    /// default loops [`CircuitLoad::critical_path_with`], bit-identical
+    /// default loops [`CircuitLoad::critical_path`], bit-identical
     /// to per-die calls; gate-level implementors should forward to
     /// [`DeviceEval::gate_delay_lane`] so the device model's lane hoist
     /// (one grid resolution per batch) applies.
@@ -143,7 +93,7 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
             "lane output length must match the mismatch lane"
         );
         for (m, o) in mismatches.iter().zip(out.iter_mut()) {
-            *o = self.critical_path_with(eval, vdd, env, *m)?;
+            *o = self.critical_path(eval, vdd, env, *m)?;
         }
         Ok(())
     }
@@ -156,11 +106,11 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
     /// As [`CircuitLoad::critical_path`].
     fn supply_current(
         &self,
-        tech: &Technology,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
     ) -> Result<Amps, SupplyRangeError> {
-        let e = self.energy_per_op(tech, vdd, env)?;
+        let e = self.energy_per_op(eval, vdd, env)?;
         let dynamic_current = if vdd.volts() > 0.0 {
             e.dynamic.value() / vdd.volts() / e.cycle_time.value()
         } else {

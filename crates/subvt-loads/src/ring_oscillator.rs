@@ -3,9 +3,10 @@
 //! switching activity and thus is an ideal platform to study the
 //! subthreshold energy and delay characteristic".
 
-use subvt_device::delay::{GateMismatch, GateTiming, SupplyRangeError};
+use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::{GateKind, Technology};
 use subvt_device::units::{Hertz, Seconds, Volts};
 use subvt_sim::logic::Logic;
@@ -73,7 +74,8 @@ impl RingOscillator {
         Ok(period.to_frequency())
     }
 
-    /// Oscillation period: `2 × stages × t_nand`.
+    /// Oscillation period on the analytic model of `tech`:
+    /// `2 × stages × t_nand`.
     ///
     /// # Errors
     ///
@@ -84,7 +86,7 @@ impl RingOscillator {
         vdd: Volts,
         env: Environment,
     ) -> Result<Seconds, SupplyRangeError> {
-        let t = GateTiming::new(tech).gate_delay(GateKind::Nand2, vdd, env)?;
+        let t = nominal_nand(tech, vdd, env)?;
         Ok(t * (2.0 * self.stages as f64))
     }
 
@@ -101,7 +103,7 @@ impl RingOscillator {
         env: Environment,
         netlist: &mut Netlist,
     ) -> Result<(SignalId, Vec<SignalId>), SupplyRangeError> {
-        let t = GateTiming::new(tech).gate_delay(GateKind::Nand2, vdd, env)?;
+        let t = nominal_nand(tech, vdd, env)?;
         let delay = SimDuration::from_seconds(t.value());
         let enable = netlist.add_signal("ring_enable");
         let nodes: Vec<SignalId> = (0..self.stages)
@@ -125,6 +127,15 @@ impl RingOscillator {
     }
 }
 
+/// One nominal NAND₂ delay on the analytic model of `tech`.
+fn nominal_nand(
+    tech: &Technology,
+    vdd: Volts,
+    env: Environment,
+) -> Result<Seconds, SupplyRangeError> {
+    AnalyticEval::new(tech).gate_delay(GateKind::Nand2, vdd, env, GateMismatch::NOMINAL, 1.0)
+}
+
 impl CircuitLoad for RingOscillator {
     fn name(&self) -> &str {
         "nand-ring-oscillator"
@@ -136,18 +147,7 @@ impl CircuitLoad for RingOscillator {
 
     fn critical_path(
         &self,
-        tech: &Technology,
-        vdd: Volts,
-        env: Environment,
-        mismatch: GateMismatch,
-    ) -> Result<Seconds, SupplyRangeError> {
-        let t = GateTiming::new(tech).gate_delay_with(GateKind::Nand2, vdd, env, mismatch, 1.0)?;
-        Ok(t * self.profile.depth)
-    }
-
-    fn critical_path_with(
-        &self,
-        eval: &dyn subvt_device::tabulate::DeviceEval,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatch: GateMismatch,
@@ -158,7 +158,7 @@ impl CircuitLoad for RingOscillator {
 
     fn critical_path_lane(
         &self,
-        eval: &dyn subvt_device::tabulate::DeviceEval,
+        eval: &dyn DeviceEval,
         vdd: Volts,
         env: Environment,
         mismatches: &[GateMismatch],
@@ -179,6 +179,7 @@ impl CircuitLoad for RingOscillator {
 mod tests {
     use super::*;
     use subvt_device::corner::ProcessCorner;
+    use subvt_device::delay::GateTiming;
 
     fn fixture() -> (Technology, RingOscillator) {
         (Technology::st_130nm(), RingOscillator::paper_circuit())
@@ -239,9 +240,10 @@ mod tests {
     #[test]
     fn supply_current_grows_with_voltage() {
         let (tech, ring) = fixture();
+        let eval = AnalyticEval::new(&tech);
         let env = Environment::nominal();
-        let low = ring.supply_current(&tech, Volts(0.2), env).unwrap();
-        let high = ring.supply_current(&tech, Volts(0.8), env).unwrap();
+        let low = ring.supply_current(&eval, Volts(0.2), env).unwrap();
+        let high = ring.supply_current(&eval, Volts(0.8), env).unwrap();
         assert!(high.value() > low.value());
         assert!(low.value() > 0.0);
     }
@@ -249,12 +251,13 @@ mod tests {
     #[test]
     fn max_rate_is_reciprocal_critical_path() {
         let (tech, ring) = fixture();
+        let eval = AnalyticEval::new(&tech);
         let env = Environment::nominal();
         let cp = ring
-            .critical_path(&tech, Volts(0.3), env, GateMismatch::NOMINAL)
+            .critical_path(&eval, Volts(0.3), env, GateMismatch::NOMINAL)
             .unwrap();
         let rate = ring
-            .max_rate(&tech, Volts(0.3), env, GateMismatch::NOMINAL)
+            .max_rate(&eval, Volts(0.3), env, GateMismatch::NOMINAL)
             .unwrap();
         assert!((cp.value() * rate.value() - 1.0).abs() < 1e-9);
     }
@@ -262,13 +265,14 @@ mod tests {
     #[test]
     fn slow_corner_lowers_max_rate() {
         let (tech, ring) = fixture();
+        let eval = AnalyticEval::new(&tech);
         let v = Volts(0.25);
         let tt = ring
-            .max_rate(&tech, v, Environment::nominal(), GateMismatch::NOMINAL)
+            .max_rate(&eval, v, Environment::nominal(), GateMismatch::NOMINAL)
             .unwrap();
         let ss = ring
             .max_rate(
-                &tech,
+                &eval,
                 v,
                 Environment::at_corner(ProcessCorner::Ss),
                 GateMismatch::NOMINAL,
@@ -280,19 +284,20 @@ mod tests {
     #[test]
     fn activity_control_changes_dynamic_energy_only() {
         let (tech, _) = fixture();
+        let eval = AnalyticEval::new(&tech);
         let env = Environment::nominal();
         let lazy = RingOscillator::with_stages(63, 0.05);
         let busy = RingOscillator::with_stages(63, 0.5);
         let v = Volts(0.3);
-        let e_lazy = lazy.energy_per_op(&tech, v, env).unwrap();
-        let e_busy = busy.energy_per_op(&tech, v, env).unwrap();
+        let e_lazy = lazy.energy_per_op(&eval, v, env).unwrap();
+        let e_busy = busy.energy_per_op(&eval, v, env).unwrap();
         assert!((e_busy.dynamic.value() / e_lazy.dynamic.value() - 10.0).abs() < 1e-6);
         assert!((e_busy.leakage.value() - e_lazy.leakage.value()).abs() < 1e-20);
     }
 
     #[test]
-    fn eval_critical_path_matches_direct_path() {
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval, ACCURACY_BUDGET};
+    fn tabulated_critical_path_tracks_the_analytic_one() {
+        use subvt_device::tabulate::{TabulatedEval, ACCURACY_BUDGET};
         let (tech, ring) = fixture();
         let env = Environment::nominal();
         let mm = GateMismatch {
@@ -302,19 +307,17 @@ mod tests {
         let analytic = AnalyticEval::new(&tech);
         let tabulated = TabulatedEval::new(&tech);
         for v in [Volts(0.231), Volts(0.35), Volts(0.62)] {
-            let direct = ring.critical_path(&tech, v, env, mm).unwrap();
-            let via_analytic = ring.critical_path_with(&analytic, v, env, mm).unwrap();
-            assert_eq!(direct.value(), via_analytic.value());
-            let via_table = ring.critical_path_with(&tabulated, v, env, mm).unwrap();
-            let rel = (via_table.value() - direct.value()).abs() / direct.value();
+            let exact = ring.critical_path(&analytic, v, env, mm).unwrap();
+            let via_table = ring.critical_path(&tabulated, v, env, mm).unwrap();
+            let rel = (via_table.value() - exact.value()).abs() / exact.value();
             assert!(rel < ACCURACY_BUDGET, "{v:?}: rel err {rel:.2e}");
             // Rates and energies route through the same surfaces.
-            let rate = ring.max_rate_with(&tabulated, v, env, mm).unwrap();
+            let rate = ring.max_rate(&tabulated, v, env, mm).unwrap();
             assert!((rate.value() * via_table.value() - 1.0).abs() < 1e-12);
-            let e_direct = ring.energy_per_op(&tech, v, env).unwrap();
-            let e_table = ring.energy_per_op_with(&tabulated, v, env).unwrap();
-            let e_rel = (e_table.total().value() - e_direct.total().value()).abs()
-                / e_direct.total().value();
+            let e_exact = ring.energy_per_op(&analytic, v, env).unwrap();
+            let e_table = ring.energy_per_op(&tabulated, v, env).unwrap();
+            let e_rel =
+                (e_table.total().value() - e_exact.total().value()).abs() / e_exact.total().value();
             assert!(e_rel < ACCURACY_BUDGET, "{v:?}: energy rel err {e_rel:.2e}");
         }
     }

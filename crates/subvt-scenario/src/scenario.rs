@@ -48,7 +48,7 @@ use subvt_core::study::{FaultPlan, StudyArgs, StudyConfig, StudyError, SupplyBac
 use subvt_core::yield_study::{SupplySim, YieldSpec};
 use subvt_dcdc::SolverMode;
 use subvt_device::corner::ProcessCorner;
-use subvt_device::mosfet::Environment;
+use subvt_device::mosfet::{check_celsius, Environment};
 use subvt_device::tabulate::EvalMode;
 use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Joules};
@@ -80,7 +80,8 @@ pub struct StudySpec {
     /// Base process corner (default TT; a `[matrix]` corners axis
     /// supersedes it).
     pub corner: ProcessCorner,
-    /// Die temperature in Celsius (default 25.0).
+    /// Die temperature in Celsius (default 25.0; the decoder rejects
+    /// values outside `subvt_device::SUPPORTED_CELSIUS`).
     pub temp_c: f64,
     /// Variation model name: `st-130nm` (the only model).
     pub variation: String,
@@ -416,7 +417,7 @@ impl Scenario {
             _ => Technology::st_130nm(),
         };
         let mut cfg = StudyConfig::new(s.dies, s.seed)
-            .tech(tech)
+            .eval(s.eval.build(&tech))
             .env(Environment::at_corner(s.corner).with_celsius(s.temp_c))
             .variation(VariationModel::st_130nm())
             .spec(YieldSpec {
@@ -427,9 +428,6 @@ impl Scenario {
             .supply_backend(s.supply)
             .solver(s.solver)
             .exec(ExecConfig::from_option(s.jobs));
-        if s.eval != EvalMode::default() {
-            cfg = cfg.eval_mode(s.eval);
-        }
         if let Some(rate) = s.fault_rate {
             cfg = cfg.faults(FaultPlan::uniform(rate).with_mitigation(s.mitigation));
         }
@@ -761,7 +759,7 @@ fn decode_study(table: &TomlTable) -> Result<StudySpec, TomlError> {
             .map_err(|e| range_err(v, format!("{e}")))?;
     }
     if let Some(v) = table.get("temp_c") {
-        s.temp_c = v.as_float()?;
+        s.temp_c = check_celsius(v.as_float()?).map_err(|e| range_err(v, e.to_string()))?;
     }
     if let Some(v) = table.get("variation") {
         s.variation = match v.as_str()? {
@@ -996,6 +994,9 @@ mod tests {
             ("[study]\nfixed_word = 99\n", "DAC word in 1..=63"),
             ("[study]\nsupply = \"battery\"\n", "unknown supply"),
             ("[study]\ncorner = \"XX\"\n", "unknown process corner"),
+            ("[study]\ntemp_c = -300.0\n", "outside the supported range"),
+            ("[study]\ntemp_c = -273.0\n", "outside the supported range"),
+            ("[study]\ntemp_c = 151.0\n", "outside the supported range"),
             ("[matrix]\nfault_rates = []\n", "must not be empty"),
         ] {
             let e = Scenario::from_toml(doc).unwrap_err();

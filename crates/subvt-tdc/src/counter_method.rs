@@ -13,6 +13,7 @@
 
 use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_device::units::{Seconds, Volts};
 
@@ -77,7 +78,7 @@ impl CounterSensor {
         mismatch: GateMismatch,
     ) -> Result<Seconds, SupplyRangeError> {
         let line = DelayLine::new(self.ring_stages, CellKind::InvNor).with_mismatch(mismatch);
-        let cell = line.cell_delay(tech, vdd, env)?;
+        let cell = line.cell_delay_with(&AnalyticEval::new(tech), vdd, env)?;
         Ok(cell * (2.0 * f64::from(self.ring_stages)))
     }
 

@@ -6,9 +6,9 @@
 //! process/temperature/voltage sensitivity of the subthreshold load it
 //! replicates.
 
-use subvt_device::delay::{GateMismatch, GateTiming, SupplyRangeError};
+use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::DeviceEval;
+use subvt_device::tabulate::{AnalyticEval, DeviceEval};
 use subvt_device::technology::{GateKind, Technology};
 use subvt_device::units::{Seconds, Volts};
 use subvt_sim::logic::Logic;
@@ -68,46 +68,18 @@ impl DelayLine {
         self.cell
     }
 
-    /// Per-stage propagation delay at the given supply and environment.
+    /// Per-stage propagation delay at the given supply and environment,
+    /// through a [`DeviceEval`] (analytic or tabulated surfaces).
+    ///
+    /// The inverter+NOR₂ cell goes through the evaluator's fused
+    /// [`DeviceEval::gate_delay_pair`]: both stages sit at the same
+    /// (Vdd, environment, mismatch) point, so a table-backed evaluator
+    /// answers them from one current interpolation.
     ///
     /// # Errors
     ///
     /// Returns [`SupplyRangeError`] below the technology's functional
     /// floor.
-    pub fn cell_delay(
-        &self,
-        tech: &Technology,
-        vdd: Volts,
-        env: Environment,
-    ) -> Result<Seconds, SupplyRangeError> {
-        let timing = GateTiming::new(tech);
-        match self.cell {
-            CellKind::InvNor => {
-                let inv =
-                    timing.gate_delay_with(GateKind::Inverter, vdd, env, self.mismatch, 1.0)?;
-                let nor = timing.gate_delay_with(GateKind::Nor2, vdd, env, self.mismatch, 1.0)?;
-                Ok(inv + nor)
-            }
-            CellKind::Inverter => {
-                timing.gate_delay_with(GateKind::Inverter, vdd, env, self.mismatch, 1.0)
-            }
-        }
-    }
-
-    /// Per-stage propagation delay through a [`DeviceEval`] (analytic
-    /// or tabulated surfaces). [`DelayLine::cell_delay`] keeps the
-    /// direct analytic path.
-    ///
-    /// The inverter+NOR₂ cell goes through the evaluator's fused
-    /// [`DeviceEval::gate_delay_pair`]: both stages sit at the same
-    /// (Vdd, environment, mismatch) point, so a table-backed evaluator
-    /// answers them from one current interpolation. The default pair
-    /// implementation is two plain `gate_delay` calls, which keeps the
-    /// analytic path bit-identical to [`DelayLine::cell_delay`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DelayLine::cell_delay`].
     pub fn cell_delay_with(
         &self,
         eval: &dyn DeviceEval,
@@ -129,26 +101,27 @@ impl DelayLine {
         }
     }
 
-    /// End-to-end delay of the full line.
+    /// End-to-end delay of the full line on the analytic model of
+    /// `tech`.
     ///
     /// # Errors
     ///
-    /// As [`DelayLine::cell_delay`].
+    /// As [`DelayLine::cell_delay_with`].
     pub fn total_delay(
         &self,
         tech: &Technology,
         vdd: Volts,
         env: Environment,
     ) -> Result<Seconds, SupplyRangeError> {
-        Ok(self.cell_delay(tech, vdd, env)? * f64::from(self.stages))
+        Ok(self.cell_delay_with(&AnalyticEval::new(tech), vdd, env)? * f64::from(self.stages))
     }
 
     /// Deepest stage index the rising edge has passed after `elapsed`
-    /// (saturating at the line length).
+    /// (saturating at the line length), on the analytic model of `tech`.
     ///
     /// # Errors
     ///
-    /// As [`DelayLine::cell_delay`].
+    /// As [`DelayLine::cell_delay_with`].
     pub fn edge_position(
         &self,
         tech: &Technology,
@@ -156,7 +129,7 @@ impl DelayLine {
         env: Environment,
         elapsed: Seconds,
     ) -> Result<u32, SupplyRangeError> {
-        let cell = self.cell_delay(tech, vdd, env)?;
+        let cell = self.cell_delay_with(&AnalyticEval::new(tech), vdd, env)?;
         let pos = (elapsed.value() / cell.value()).floor();
         Ok((pos.max(0.0) as u32).min(u32::from(self.stages)))
     }
@@ -167,7 +140,7 @@ impl DelayLine {
     ///
     /// # Errors
     ///
-    /// As [`DelayLine::cell_delay`].
+    /// As [`DelayLine::cell_delay_with`].
     pub fn build_netlist(
         &self,
         tech: &Technology,
@@ -175,7 +148,7 @@ impl DelayLine {
         env: Environment,
         netlist: &mut Netlist,
     ) -> Result<(SignalId, Vec<SignalId>), SupplyRangeError> {
-        let cell = self.cell_delay(tech, vdd, env)?;
+        let cell = self.cell_delay_with(&AnalyticEval::new(tech), vdd, env)?;
         let half = SimDuration::from_seconds(cell.value() / 2.0);
         let input = netlist.add_signal("tdc_in");
         let enable = netlist.add_signal("tdc_enable_n");
@@ -201,8 +174,11 @@ mod tests {
     use super::*;
     use subvt_device::corner::ProcessCorner;
 
-    fn fixture() -> (Technology, Environment) {
-        (Technology::st_130nm(), Environment::nominal())
+    fn fixture() -> (AnalyticEval, Environment) {
+        (
+            AnalyticEval::new(&Technology::st_130nm()),
+            Environment::nominal(),
+        )
     }
 
     #[test]
@@ -210,7 +186,7 @@ mod tests {
         let (tech, env) = fixture();
         let line = DelayLine::new(64, CellKind::Inverter);
         for (v, ps) in [(1.2, 102.0), (0.6, 442.0), (0.2, 79_430.0)] {
-            let d = line.cell_delay(&tech, Volts(v), env).unwrap();
+            let d = line.cell_delay_with(&tech, Volts(v), env).unwrap();
             assert!(
                 (d.picos() - ps).abs() / ps < 0.05,
                 "{v} V: {} ps vs {ps} ps",
@@ -226,8 +202,8 @@ mod tests {
         let cell = DelayLine::new(64, CellKind::InvNor);
         let v = Volts(0.6);
         assert!(
-            cell.cell_delay(&tech, v, env).unwrap().value()
-                > inv.cell_delay(&tech, v, env).unwrap().value()
+            cell.cell_delay_with(&tech, v, env).unwrap().value()
+                > inv.cell_delay_with(&tech, v, env).unwrap().value()
         );
     }
 
@@ -237,8 +213,11 @@ mod tests {
         let short = DelayLine::new(8, CellKind::InvNor);
         let long = DelayLine::new(64, CellKind::InvNor);
         let v = Volts(0.3);
-        let ratio = long.total_delay(&tech, v, env).unwrap().value()
-            / short.total_delay(&tech, v, env).unwrap().value();
+        let ratio = long.total_delay(tech.technology(), v, env).unwrap().value()
+            / short
+                .total_delay(tech.technology(), v, env)
+                .unwrap()
+                .value();
         assert!((ratio - 8.0).abs() < 1e-9);
     }
 
@@ -246,17 +225,17 @@ mod tests {
     fn edge_position_saturates_at_line_end() {
         let (tech, env) = fixture();
         let line = DelayLine::new(64, CellKind::InvNor);
-        let cell = line.cell_delay(&tech, Volts(0.6), env).unwrap();
+        let cell = line.cell_delay_with(&tech, Volts(0.6), env).unwrap();
         let pos = line
-            .edge_position(&tech, Volts(0.6), env, cell * 10.5)
+            .edge_position(tech.technology(), Volts(0.6), env, cell * 10.5)
             .unwrap();
         assert_eq!(pos, 10);
         let far = line
-            .edge_position(&tech, Volts(0.6), env, cell * 1000.0)
+            .edge_position(tech.technology(), Volts(0.6), env, cell * 1000.0)
             .unwrap();
         assert_eq!(far, 64);
         let none = line
-            .edge_position(&tech, Volts(0.6), env, Seconds::ZERO)
+            .edge_position(tech.technology(), Volts(0.6), env, Seconds::ZERO)
             .unwrap();
         assert_eq!(none, 0);
     }
@@ -266,9 +245,11 @@ mod tests {
         let (tech, _) = fixture();
         let line = DelayLine::new(64, CellKind::InvNor);
         let v = Volts(0.25);
-        let tt = line.cell_delay(&tech, v, Environment::nominal()).unwrap();
+        let tt = line
+            .cell_delay_with(&tech, v, Environment::nominal())
+            .unwrap();
         let ss = line
-            .cell_delay(&tech, v, Environment::at_corner(ProcessCorner::Ss))
+            .cell_delay_with(&tech, v, Environment::at_corner(ProcessCorner::Ss))
             .unwrap();
         assert!(ss.value() > 1.2 * tt.value(), "tt {tt} ss {ss}");
     }
@@ -283,8 +264,8 @@ mod tests {
         });
         let v = Volts(0.25);
         assert!(
-            slow.cell_delay(&tech, v, env).unwrap().value()
-                > nominal.cell_delay(&tech, v, env).unwrap().value()
+            slow.cell_delay_with(&tech, v, env).unwrap().value()
+                > nominal.cell_delay_with(&tech, v, env).unwrap().value()
         );
     }
 
@@ -295,9 +276,11 @@ mod tests {
         let (tech, env) = fixture();
         let line = DelayLine::new(8, CellKind::InvNor);
         let vdd = Volts(0.6);
-        let cell = line.cell_delay(&tech, vdd, env).unwrap();
+        let cell = line.cell_delay_with(&tech, vdd, env).unwrap();
         let mut nl = Netlist::new();
-        let (input, taps) = line.build_netlist(&tech, vdd, env, &mut nl).unwrap();
+        let (input, taps) = line
+            .build_netlist(tech.technology(), vdd, env, &mut nl)
+            .unwrap();
         nl.drive(input, Logic::Low, SimTime::ZERO);
         let settle = SimTime::ZERO + SimDuration::from_seconds(cell.value() * 20.0);
         nl.run_until(settle, 100_000);
@@ -316,22 +299,19 @@ mod tests {
     }
 
     #[test]
-    fn eval_variant_matches_direct_path() {
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval, ACCURACY_BUDGET};
-        let (tech, env) = fixture();
+    fn tabulated_cell_delay_tracks_the_analytic_one() {
+        use subvt_device::tabulate::{TabulatedEval, ACCURACY_BUDGET};
+        let (analytic, env) = fixture();
         let line = DelayLine::new(64, CellKind::InvNor).with_mismatch(GateMismatch {
             nmos_dvth: Volts(0.008),
             pmos_dvth: Volts(-0.005),
         });
-        let analytic = AnalyticEval::new(&tech);
-        let tabulated = TabulatedEval::new(&tech);
+        let tabulated = TabulatedEval::new(analytic.technology());
         for mv in [233.0, 356.25, 601.0] {
             let v = Volts::from_millivolts(mv);
-            let direct = line.cell_delay(&tech, v, env).unwrap();
-            let via_analytic = line.cell_delay_with(&analytic, v, env).unwrap();
-            assert_eq!(direct.value(), via_analytic.value(), "{mv} mV");
+            let exact = line.cell_delay_with(&analytic, v, env).unwrap();
             let via_table = line.cell_delay_with(&tabulated, v, env).unwrap();
-            let rel = (via_table.value() - direct.value()).abs() / direct.value();
+            let rel = (via_table.value() - exact.value()).abs() / exact.value();
             assert!(rel < ACCURACY_BUDGET, "{mv} mV: rel err {rel:.2e}");
         }
     }

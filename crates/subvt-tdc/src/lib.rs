@@ -25,14 +25,15 @@
 //! use subvt_device::corner::ProcessCorner;
 //! use subvt_device::delay::GateMismatch;
 //! use subvt_device::mosfet::Environment;
+//! use subvt_device::tabulate::AnalyticEval;
 //! use subvt_device::technology::Technology;
 //! use subvt_tdc::sensor::{word_voltage, SensorConfig, VariationSensor};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let tech = Technology::st_130nm();
-//! let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
-//! let deviation = sensor.sense(
-//!     &tech,
+//! let eval = AnalyticEval::new(&Technology::st_130nm());
+//! let sensor = VariationSensor::with_eval(&eval, Environment::nominal(), SensorConfig::default());
+//! let deviation = sensor.sense_with(
+//!     &eval,
 //!     19,
 //!     word_voltage(19),
 //!     Environment::at_corner(ProcessCorner::Ss),

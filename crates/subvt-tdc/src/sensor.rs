@@ -19,8 +19,8 @@ use std::fmt;
 use subvt_device::constants::DCDC_LSB;
 use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::{AnalyticEval, DeviceEval};
-use subvt_device::technology::{GateKind, Technology};
+use subvt_device::tabulate::DeviceEval;
+use subvt_device::technology::GateKind;
 use subvt_device::units::{Seconds, Volts};
 use subvt_digital::encoder::{EncodeError, QuantizerWord};
 use subvt_digital::lut::VoltageWord;
@@ -117,21 +117,11 @@ pub fn voltage_word(v: Volts) -> VoltageWord {
 }
 
 impl VariationSensor {
-    /// Calibrates a sensor against `tech` at the design environment.
+    /// Calibrates a sensor through a [`DeviceEval`] at the design
+    /// environment.
     ///
     /// Bands whose voltage (or whose lowest in-range neighbour) falls
     /// below the technology's functional floor are marked unusable.
-    pub fn new(
-        tech: &Technology,
-        design_env: Environment,
-        config: SensorConfig,
-    ) -> VariationSensor {
-        Self::with_eval(&AnalyticEval::new(tech), design_env, config)
-    }
-
-    /// Calibrates a sensor through a [`DeviceEval`] — the tabulated
-    /// variant of [`VariationSensor::new`]. With an
-    /// [`AnalyticEval`] the result is bit-identical to `new`.
     pub fn with_eval(
         eval: &dyn DeviceEval,
         design_env: Environment,
@@ -209,38 +199,13 @@ impl VariationSensor {
     }
 
     /// Measures the quantizer code for band `word` with the replica at
-    /// `actual_vdd` in the actual `env`, with die mismatch `mismatch`.
+    /// `actual_vdd` in the actual `env`, with die mismatch `mismatch`;
+    /// the replica delay comes from `eval`.
     ///
     /// # Errors
     ///
     /// [`SenseError::BandUnusable`] for uncalibrated bands;
     /// [`SenseError::Unreliable`] when the code cannot be decoded.
-    pub fn measure(
-        &self,
-        tech: &Technology,
-        word: VoltageWord,
-        actual_vdd: Volts,
-        env: Environment,
-        mismatch: GateMismatch,
-    ) -> Result<u32, SenseError> {
-        let band = self.band(word)?;
-        let line = self.line.clone().with_mismatch(mismatch);
-        // A supply below the functional floor means the replica never
-        // toggles: the flip-flops capture an empty word ("infinitely
-        // slow"), not a configuration error.
-        let cell = line
-            .cell_delay(tech, actual_vdd, env)
-            .map_err(|_| SenseError::Unreliable(EncodeError::Empty))?;
-        Self::encode_cell(band, cell)
-    }
-
-    /// [`VariationSensor::measure`] through a [`DeviceEval`]: the
-    /// replica delay comes from the evaluator instead of the direct
-    /// analytic model.
-    ///
-    /// # Errors
-    ///
-    /// As [`VariationSensor::measure`].
     pub fn measure_with(
         &self,
         eval: &dyn DeviceEval,
@@ -251,6 +216,9 @@ impl VariationSensor {
     ) -> Result<u32, SenseError> {
         let band = self.band(word)?;
         let line = self.line.clone().with_mismatch(mismatch);
+        // A supply below the functional floor means the replica never
+        // toggles: the flip-flops capture an empty word ("infinitely
+        // slow"), not a configuration error.
         let cell = line
             .cell_delay_with(eval, actual_vdd, env)
             .map_err(|_| SenseError::Unreliable(EncodeError::Empty))?;
@@ -397,22 +365,6 @@ impl VariationSensor {
     /// # Errors
     ///
     /// [`SenseError::BandUnusable`] for uncalibrated bands.
-    pub fn sense(
-        &self,
-        tech: &Technology,
-        word: VoltageWord,
-        actual_vdd: Volts,
-        env: Environment,
-        mismatch: GateMismatch,
-    ) -> Result<i16, SenseError> {
-        self.classify(word, self.measure(tech, word, actual_vdd, env, mismatch))
-    }
-
-    /// [`VariationSensor::sense`] through a [`DeviceEval`].
-    ///
-    /// # Errors
-    ///
-    /// As [`VariationSensor::sense`].
     pub fn sense_with(
         &self,
         eval: &dyn DeviceEval,
@@ -427,27 +379,11 @@ impl VariationSensor {
         )
     }
 
-    /// Fractional-deviation variant of [`VariationSensor::sense`].
+    /// Fractional-deviation variant of [`VariationSensor::sense_with`].
     ///
     /// # Errors
     ///
-    /// As [`VariationSensor::sense`].
-    pub fn sense_fractional(
-        &self,
-        tech: &Technology,
-        word: VoltageWord,
-        actual_vdd: Volts,
-        env: Environment,
-        mismatch: GateMismatch,
-    ) -> Result<f64, SenseError> {
-        self.classify_fractional(word, self.measure(tech, word, actual_vdd, env, mismatch))
-    }
-
-    /// [`VariationSensor::sense_fractional`] through a [`DeviceEval`].
-    ///
-    /// # Errors
-    ///
-    /// As [`VariationSensor::sense`].
+    /// As [`VariationSensor::sense_with`].
     pub fn sense_fractional_with(
         &self,
         eval: &dyn DeviceEval,
@@ -661,11 +597,14 @@ impl VariationSensor {
 mod tests {
     use super::*;
     use subvt_device::corner::ProcessCorner;
+    use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
+    use subvt_device::technology::Technology;
 
-    fn sensor_fixture() -> (Technology, VariationSensor) {
-        let tech = Technology::st_130nm();
-        let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
-        (tech, sensor)
+    fn sensor_fixture() -> (AnalyticEval, VariationSensor) {
+        let eval = AnalyticEval::new(&Technology::st_130nm());
+        let sensor =
+            VariationSensor::with_eval(&eval, Environment::nominal(), SensorConfig::default());
+        (eval, sensor)
     }
 
     #[test]
@@ -694,11 +633,11 @@ mod tests {
 
     #[test]
     fn nominal_die_reads_zero_deviation() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         for word in [11u8, 19, 32, 47] {
             let dev = sensor
-                .sense(
-                    &tech,
+                .sense_with(
+                    &eval,
                     word,
                     word_voltage(word),
                     Environment::nominal(),
@@ -713,10 +652,10 @@ mod tests {
     fn slow_corner_reads_negative_deviation() {
         // The paper's worked example: a TT-calibrated controller on a
         // slower die sees a ~1-bit signature at word 19 (~356 mV).
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let dev = sensor
-            .sense(
-                &tech,
+            .sense_with(
+                &eval,
                 19,
                 word_voltage(19),
                 Environment::at_corner(ProcessCorner::Ss),
@@ -729,10 +668,10 @@ mod tests {
 
     #[test]
     fn fast_corner_reads_positive_deviation() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let dev = sensor
-            .sense(
-                &tech,
+            .sense_with(
+                &eval,
                 19,
                 word_voltage(19),
                 Environment::at_corner(ProcessCorner::Ff),
@@ -744,10 +683,10 @@ mod tests {
 
     #[test]
     fn hot_die_reads_fast_in_subthreshold() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let dev = sensor
-            .sense(
-                &tech,
+            .sense_with(
+                &eval,
                 12,
                 word_voltage(12),
                 Environment::at_celsius(85.0),
@@ -761,10 +700,10 @@ mod tests {
     fn voltage_error_is_sensed_like_variation() {
         // Supplying a lower voltage than the band expects reads slow:
         // the same mechanism regulates the DC-DC output.
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let dev = sensor
-            .sense(
-                &tech,
+            .sense_with(
+                &eval,
                 19,
                 word_voltage(17),
                 Environment::nominal(),
@@ -779,10 +718,10 @@ mod tests {
 
     #[test]
     fn unusable_band_reports_error() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let err = sensor
-            .sense(
-                &tech,
+            .sense_with(
+                &eval,
                 2,
                 word_voltage(2),
                 Environment::nominal(),
@@ -795,11 +734,11 @@ mod tests {
 
     #[test]
     fn extreme_fast_die_clamps_to_range() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         // 200 mV above the band voltage: the line saturates.
         let dev = sensor
-            .sense(
-                &tech,
+            .sense_with(
+                &eval,
                 19,
                 Volts(word_voltage(19).volts() + 0.2),
                 Environment::nominal(),
@@ -813,13 +752,13 @@ mod tests {
     fn fractional_deviation_resolves_half_lsb_shifts() {
         // A die shifted by half an LSB of effective Vth reads ≈ ±0.5
         // fractionally, where the integer path rounds to 0 or ±1.
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let half = GateMismatch {
             nmos_dvth: Volts(0.009_4),
             pmos_dvth: Volts(0.009_4),
         };
         let frac = sensor
-            .sense_fractional(&tech, 12, word_voltage(12), Environment::nominal(), half)
+            .sense_fractional_with(&eval, 12, word_voltage(12), Environment::nominal(), half)
             .unwrap();
         assert!(
             (-0.85..=-0.25).contains(&frac),
@@ -827,8 +766,8 @@ mod tests {
         );
         // Nominal die reads near zero fractionally too.
         let zero = sensor
-            .sense_fractional(
-                &tech,
+            .sense_fractional_with(
+                &eval,
                 12,
                 word_voltage(12),
                 Environment::nominal(),
@@ -840,7 +779,7 @@ mod tests {
 
     #[test]
     fn fractional_deviation_is_monotone_in_die_shift() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let mut last = f64::MAX;
         for mv in [-20.0, -10.0, 0.0, 10.0, 20.0] {
             let die = GateMismatch {
@@ -848,7 +787,7 @@ mod tests {
                 pmos_dvth: Volts::from_millivolts(mv),
             };
             let frac = sensor
-                .sense_fractional(&tech, 12, word_voltage(12), Environment::nominal(), die)
+                .sense_fractional_with(&eval, 12, word_voltage(12), Environment::nominal(), die)
                 .unwrap();
             assert!(
                 frac <= last + 1e-9,
@@ -860,30 +799,21 @@ mod tests {
 
     #[test]
     fn fractional_clamps_at_the_table_edges() {
-        let (tech, sensor) = sensor_fixture();
+        let (eval, sensor) = sensor_fixture();
         let wild = GateMismatch {
             nmos_dvth: Volts(0.2),
             pmos_dvth: Volts(0.2),
         };
         let frac = sensor
-            .sense_fractional(&tech, 12, word_voltage(12), Environment::nominal(), wild)
+            .sense_fractional_with(&eval, 12, word_voltage(12), Environment::nominal(), wild)
             .unwrap();
         assert_eq!(frac, -3.0, "clamped at the neighbour range");
     }
 
     #[test]
-    fn eval_calibration_and_sensing_match_direct_path() {
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
+    fn tabulated_calibration_and_sensing_reproduce_the_worked_example() {
         let tech = Technology::st_130nm();
         let env = Environment::nominal();
-        let direct = VariationSensor::new(&tech, env, SensorConfig::default());
-        let analytic = AnalyticEval::new(&tech);
-        let via_analytic = VariationSensor::with_eval(&analytic, env, SensorConfig::default());
-        assert_eq!(
-            direct, via_analytic,
-            "analytic eval must calibrate identically"
-        );
-
         // Tabulated calibration + sensing reproduces the worked example:
         // a TT-calibrated sensor reads a slow corner as slow.
         let tabulated = TabulatedEval::new(&tech);
@@ -906,9 +836,7 @@ mod tests {
 
     #[test]
     fn sample_then_decode_matches_sense() {
-        use subvt_device::tabulate::AnalyticEval;
-        let (tech, sensor) = sensor_fixture();
-        let eval = AnalyticEval::new(&tech);
+        let (eval, sensor) = sensor_fixture();
         for (word, env) in [
             (11u8, Environment::nominal()),
             (19, Environment::at_corner(ProcessCorner::Ss)),
@@ -928,9 +856,7 @@ mod tests {
 
     #[test]
     fn strict_decode_rejects_the_bubble_the_tolerant_path_repairs() {
-        use subvt_device::tabulate::AnalyticEval;
-        let (tech, sensor) = sensor_fixture();
-        let eval = AnalyticEval::new(&tech);
+        let (eval, sensor) = sensor_fixture();
         let sample = sensor
             .sample_with(
                 &eval,
@@ -959,11 +885,8 @@ mod tests {
 
     #[test]
     fn sense_lane_matches_scalar_sense() {
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
-        let tech = Technology::st_130nm();
-        let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
-        let analytic = AnalyticEval::new(&tech);
-        let tabulated = TabulatedEval::new(&tech);
+        let (analytic, sensor) = sensor_fixture();
+        let tabulated = TabulatedEval::new(analytic.technology());
         let evals: [&dyn DeviceEval; 2] = [&analytic, &tabulated];
         // Lane lengths covering full chunks and every ragged tail, of
         // the 4-wide kernels and of the 32-die sense chunks, with
@@ -1025,11 +948,8 @@ mod tests {
 
     #[test]
     fn sense_fractional_multi_matches_scalar() {
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
-        let tech = Technology::st_130nm();
-        let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
-        let analytic = AnalyticEval::new(&tech);
-        let tabulated = TabulatedEval::new(&tech);
+        let (analytic, sensor) = sensor_fixture();
+        let tabulated = TabulatedEval::new(analytic.technology());
         let evals: [&dyn DeviceEval; 2] = [&analytic, &tabulated];
         // 71 dies: two full 32-die sense chunks and a ragged one, with
         // a below-floor die in each.

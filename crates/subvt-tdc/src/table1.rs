@@ -18,6 +18,7 @@
 
 use subvt_device::delay::SupplyRangeError;
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_device::units::{Seconds, Volts};
 use subvt_digital::encoder::QuantizerWord;
@@ -74,10 +75,11 @@ pub fn reproduce_table1(
 ) -> Result<Vec<Table1Row>, SupplyRangeError> {
     let line = DelayLine::new(64, CellKind::Inverter);
     let quantizer = Quantizer::new(64, RefClock::paper_14ns(), SAMPLE_ANCHOR);
+    let eval = AnalyticEval::new(tech);
     TABLE1_VOLTAGES
         .iter()
         .map(|&vdd| {
-            let cell_delay = line.cell_delay(tech, vdd, env)?;
+            let cell_delay = line.cell_delay_with(&eval, vdd, env)?;
             let word = quantizer.sample(cell_delay);
             Ok(Table1Row {
                 vdd,

@@ -10,6 +10,7 @@
 
 use subvt_device::delay::{GateMismatch, SupplyRangeError};
 use subvt_device::mosfet::Environment;
+use subvt_device::tabulate::AnalyticEval;
 use subvt_device::technology::Technology;
 use subvt_device::units::{Seconds, Volts};
 
@@ -98,7 +99,7 @@ impl VernierTdc {
     ) -> Result<Seconds, SupplyRangeError> {
         DelayLine::new(64, CellKind::Inverter)
             .with_mismatch(mismatch)
-            .cell_delay(tech, vdd, env)
+            .cell_delay_with(&AnalyticEval::new(tech), vdd, env)
     }
 
     /// Converts a time interval: the slow edge leads by `interval`, the
@@ -171,7 +172,7 @@ mod tests {
         let (tech, tdc, env) = fixture();
         let vdd = Volts(0.6);
         let cell = DelayLine::new(64, CellKind::Inverter)
-            .cell_delay(&tech, vdd, env)
+            .cell_delay_with(&AnalyticEval::new(&tech), vdd, env)
             .unwrap();
         let r = tdc.resolution(&tech, vdd, env).unwrap();
         assert!((r.value() / cell.value() - 0.05).abs() < 1e-9);

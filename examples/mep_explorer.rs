@@ -9,13 +9,13 @@
 use subvt::prelude::*;
 
 fn sweep_and_report(
-    tech: &Technology,
+    eval: &dyn DeviceEval,
     profile: &CircuitProfile,
     env: Environment,
     label: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let mep = find_mep(tech, profile, env, Volts(0.12), Volts(0.9))?;
-    let curve = energy_sweep(tech, profile, env, Volts(0.12), Volts(0.6), 24);
+    let mep = find_mep(eval, profile, env, Volts(0.12), Volts(0.9))?;
+    let curve = energy_sweep(eval, profile, env, Volts(0.12), Volts(0.6), 24);
     print!("{label:>14}: ");
     for point in &curve {
         // Tiny ASCII sparkline: one char per point, log-scaled.
@@ -38,7 +38,7 @@ fn sweep_and_report(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
 
     println!("Energy landscape, 120 mV → 600 mV left to right ('_' marks the MEP basin)\n");
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("By process corner (α = 0.1, 25 °C) — the paper's Fig. 1:");
         let ring = CircuitProfile::ring_oscillator();
         for corner in ProcessCorner::ALL {
-            sweep_and_report(&tech, &ring, Environment::at_corner(corner), corner.name())?;
+            sweep_and_report(&eval, &ring, Environment::at_corner(corner), corner.name())?;
         }
         println!();
     }
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ring = CircuitProfile::ring_oscillator();
         for celsius in [0.0, 25.0, 55.0, 85.0, 115.0] {
             sweep_and_report(
-                &tech,
+                &eval,
                 &ring,
                 Environment::at_celsius(celsius),
                 &format!("{celsius:.0} °C"),
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for activity in [0.02, 0.05, 0.1, 0.3, 0.6] {
             let profile = CircuitProfile::ring_oscillator().with_activity(activity);
             sweep_and_report(
-                &tech,
+                &eval,
                 &profile,
                 Environment::nominal(),
                 &format!("α = {activity}"),

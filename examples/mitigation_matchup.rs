@@ -21,10 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nmos_dvth: Volts(0.018_75),
         pmos_dvth: Volts(0.018_75),
     };
-    let sensor = VariationSensor::new(&tech, env, SensorConfig::default());
+    let eval = AnalyticEval::new(&tech);
+    let sensor = VariationSensor::with_eval(&eval, env, SensorConfig::default());
 
     // --- 1. AVS (the paper): shift the supply one LSB up.
-    let avs_residual = sensor.sense(&tech, 12, word_voltage(13), env, slow_die)?;
+    let avs_residual = sensor.sense_with(&eval, 12, word_voltage(13), env, slow_die)?;
     println!("AVS   : supply 225.00 mV (word 12+1) → sensor residual {avs_residual} LSB");
 
     // --- 2. ABB: park the supply at the design word, forward-bias the wells.

@@ -7,12 +7,12 @@
 use subvt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let tech = Technology::st_130nm();
+    let eval = EvalMode::Analytic.build(&Technology::st_130nm());
 
     // 1. Subthreshold logic has a minimum-energy point (MEP) below Vth.
     let ring = CircuitProfile::ring_oscillator();
     let mep = find_mep(
-        &tech,
+        eval.as_ref(),
         &ring,
         Environment::nominal(),
         Volts(0.12),
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Process corners move the MEP — a fixed supply misses it.
     for corner in [ProcessCorner::Ss, ProcessCorner::Fs] {
         let shifted = find_mep(
-            &tech,
+            eval.as_ref(),
             &ring,
             Environment::at_corner(corner),
             Volts(0.12),
@@ -41,9 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. The TDC delay replica reads the shift as a digital signature.
-    let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
-    let deviation = sensor.sense(
-        &tech,
+    let sensor = VariationSensor::with_eval(
+        eval.as_ref(),
+        Environment::nominal(),
+        SensorConfig::default(),
+    );
+    let deviation = sensor.sense_with(
+        eval.as_ref(),
         19,
         word_voltage(19),
         Environment::at_corner(ProcessCorner::Ss),
@@ -63,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. The assembled controller corrects the LUT and saves energy.
-    let report = savings_experiment(&Scenario::paper_worked_example())?;
+    let report = savings_experiment(&Scenario::paper_worked_example(), &eval)?;
     println!(
         "5. TT-designed controller on a slow die: LUT corrected by {:+} LSB, \
          {:.0}% energy saved vs a fixed supply (paper: \"up to 55%\")",

@@ -50,8 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The controller driving the FIR as its load.
     let fir_load = FirFilter::lowpass_9tap();
+    let eval = AnalyticEval::new(&tech);
     let fir_mep = find_mep(
-        &tech,
+        &eval,
         fir_load.profile(),
         design_env,
         Volts(0.12),
@@ -64,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let rate = RateController::design(
-        &tech,
+        &eval,
         &fir_load,
         design_env,
         &[(8, Hertz(200e3)), (16, Hertz(1e6)), (32, Hertz(5e6))],

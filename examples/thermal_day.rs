@@ -17,7 +17,7 @@ use subvt_sim::vcd::VcdWriter;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::st_130nm();
     let design = Environment::nominal();
-    let rate = design_rate_controller(&tech, design)?;
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), design)?;
 
     // The silicon is a slightly slow die (sampled once, fixed).
     let die = GateMismatch {

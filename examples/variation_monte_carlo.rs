@@ -18,6 +18,7 @@ use subvt_rng::{Rng, StdRng};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const DIES: usize = 40;
     let model = VariationModel::st_130nm();
+    let eval = EvalMode::Analytic.build(&Technology::st_130nm());
     let mut rng = StdRng::seed_from_u64(1234);
 
     // Each die owns a label-addressed stream forked off the root seed,
@@ -35,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.name = format!("die-{die}");
         scenario.die = variation.mean_gate();
         scenario.seed = 5_000 + die as u64;
-        savings_experiment(&scenario)
+        savings_experiment(&scenario, &eval)
     });
 
     let mut shift_histogram: BTreeMap<i16, usize> = BTreeMap::new();

@@ -18,11 +18,11 @@ use subvt_dcdc::converter::ConverterParams;
 use subvt_dcdc::filter::NoLoad;
 use subvt_dcdc::solver::SolverMode;
 use subvt_device::corner::ProcessCorner;
-use subvt_device::delay::{GateMismatch, GateTiming};
+use subvt_device::delay::GateMismatch;
 use subvt_device::energy::CircuitProfile;
 use subvt_device::mep::{energy_sweep, find_mep};
-use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::EvalMode;
+use subvt_device::mosfet::{check_celsius, Environment};
+use subvt_device::tabulate::{AnalyticEval, DeviceEval, EvalMode};
 use subvt_device::technology::{GateKind, Technology};
 use subvt_device::units::Volts;
 use subvt_exec::{CancelToken, ExecConfig, Progress};
@@ -311,7 +311,8 @@ impl Command {
                     i += 2;
                 }
                 "--temp" => {
-                    op.celsius = parse_value(flag, value)?;
+                    op.celsius = check_celsius(parse_value(flag, value)?)
+                        .map_err(|e| err(format!("--temp: {e}")))?;
                     i += 2;
                 }
                 "--activity" => {
@@ -431,7 +432,7 @@ impl Command {
                 let tech = op.technology();
                 let profile = CircuitProfile::ring_oscillator().with_activity(op.activity);
                 let mep = find_mep(
-                    &tech,
+                    &AnalyticEval::new(&tech),
                     &profile,
                     op.environment(),
                     tech.min_vdd + Volts(0.02),
@@ -450,8 +451,8 @@ impl Command {
             }
             Command::Delay { op, vdd, gate } => {
                 let tech = op.technology();
-                let d = GateTiming::new(&tech)
-                    .gate_delay(*gate, *vdd, op.environment())
+                let d = AnalyticEval::new(&tech)
+                    .gate_delay(*gate, *vdd, op.environment(), GateMismatch::NOMINAL, 1.0)
                     .map_err(|e| e.to_string())?;
                 Ok(format!(
                     "{gate:?} delay on {} at {:.1} mV, {} / {:.0} °C: {:.3} ns",
@@ -463,14 +464,17 @@ impl Command {
                 ))
             }
             Command::Sense { op, word, vdd_mv } => {
-                let tech = op.technology();
-                let sensor =
-                    VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+                let eval = AnalyticEval::new(&op.technology());
+                let sensor = VariationSensor::with_eval(
+                    &eval,
+                    Environment::nominal(),
+                    SensorConfig::default(),
+                );
                 let vdd = vdd_mv
                     .map(Volts::from_millivolts)
                     .unwrap_or_else(|| word_voltage(*word));
                 let dev = sensor
-                    .sense(&tech, *word, vdd, op.environment(), GateMismatch::NOMINAL)
+                    .sense_with(&eval, *word, vdd, op.environment(), GateMismatch::NOMINAL)
                     .map_err(|e| e.to_string())?;
                 Ok(format!(
                     "sensor at word {word} ({:.2} mV applied), die {} / {:.0} °C: deviation {dev:+} LSB",
@@ -485,10 +489,9 @@ impl Command {
                 to_mv,
                 steps,
             } => {
-                let tech = op.technology();
                 let profile = CircuitProfile::ring_oscillator().with_activity(op.activity);
                 let series = energy_sweep(
-                    &tech,
+                    &AnalyticEval::new(&op.technology()),
                     &profile,
                     op.environment(),
                     Volts::from_millivolts(*from_mv),
@@ -510,17 +513,14 @@ impl Command {
             Command::Yield { op, study } => {
                 let cfg = study.exec();
                 // The study flags carry everything but the operating
-                // point; the builder gets tech/env from `op` so the
-                // eval surfaces are built for the right node.
+                // point; the evaluator is built for `op`'s node and the
+                // environment comes from `op` too.
                 let mut builder = StudyConfig::new(study.dies, study.seed)
-                    .tech(op.technology())
+                    .eval(study.eval.build(&op.technology()))
                     .env(op.environment())
                     .supply_backend(study.supply)
                     .solver(study.solver)
                     .exec(cfg);
-                if study.eval != EvalMode::Analytic {
-                    builder = builder.eval_mode(study.eval);
-                }
                 if let Some(batch) = study.batch {
                     builder = builder.batch(batch);
                 }
@@ -634,14 +634,12 @@ impl Command {
                         }
                     }
                 }
+                let eval = study.eval.build(&op.technology());
                 let build_base = || {
                     let mut b = StudyConfig::new(study.dies, study.seed)
-                        .tech(op.technology())
+                        .eval(eval.clone())
                         .solver(study.solver)
                         .exec(cfg);
-                    if study.eval != EvalMode::Analytic {
-                        b = b.eval_mode(study.eval);
-                    }
                     if let Some(batch) = study.batch {
                         b = b.batch(batch);
                     }
@@ -820,7 +818,8 @@ impl Command {
                 };
                 let mut scenario = Scenario::paper_worked_example().with_supply(scenario_supply);
                 scenario.config.converter = scenario.config.converter.with_solver(*solver);
-                let report = savings_experiment(&scenario).map_err(|e| e.to_string())?;
+                let eval = EvalMode::Analytic.build(&Technology::st_130nm());
+                let report = savings_experiment(&scenario, &eval).map_err(|e| e.to_string())?;
                 let mut out = format!(
                     "worked example (TT design on SS die): LUT {:+} LSB, \
                      {:.1}% vs fixed supply, {:.1}% vs uncompensated",
@@ -959,7 +958,7 @@ COMMANDS:
 FLAGS:
     --tech 130|65        technology preset       (default 130)
     --corner SS|TT|FF|FS|SF                      (default TT)
-    --temp <celsius>                             (default 25)
+    --temp <celsius>     -55..=150 °C            (default 25)
     --activity <0..1>    switching factor        (default 0.1)
     --vdd-mv <mv>        supply for delay/sense
     --word <0..63>       voltage word for sense
@@ -1110,6 +1109,23 @@ mod tests {
         assert!(e.to_string().contains("needs a value"));
         let e = parse(&["mep", "--bogus", "1"]).unwrap_err();
         assert!(e.to_string().contains("unknown flag"));
+    }
+
+    #[test]
+    fn temperatures_outside_the_model_domain_are_rejected() {
+        for bad in ["nan", "inf", "-inf", "-273", "-270", "-400", "151"] {
+            for cmd in ["mep", "yield", "sense"] {
+                let e = parse(&[cmd, "--word", "19", "--temp", bad]).unwrap_err();
+                assert!(
+                    e.to_string().contains("--temp") && e.to_string().contains("supported range"),
+                    "{cmd} --temp {bad}: {e}"
+                );
+            }
+        }
+        for ok in ["-55", "-40", "115", "150"] {
+            let c = parse(&["mep", "--temp", ok]).unwrap();
+            assert!(c.run().unwrap().contains("MEP"), "--temp {ok}");
+        }
     }
 
     #[test]

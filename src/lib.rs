@@ -28,13 +28,13 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Where is the minimum-energy point of the paper's ring oscillator?
-//! let tech = Technology::st_130nm();
+//! let eval = EvalMode::Analytic.build(&Technology::st_130nm());
 //! let ring = CircuitProfile::ring_oscillator();
-//! let mep = find_mep(&tech, &ring, Environment::nominal(), Volts(0.12), Volts(0.6))?;
+//! let mep = find_mep(eval.as_ref(), &ring, Environment::nominal(), Volts(0.12), Volts(0.6))?;
 //! assert!((mep.vopt.millivolts() - 200.0).abs() < 5.0); // paper: 200 mV at TT
 //!
 //! // Run the paper's worked example: TT-designed controller on slow silicon.
-//! let report = savings_experiment(&Scenario::paper_worked_example())?;
+//! let report = savings_experiment(&Scenario::paper_worked_example(), &eval)?;
 //! assert_eq!(report.compensated.compensation, 1); // the 1-LSB correction
 //! assert!(report.savings_vs_fixed() > 0.3);       // "up to 55%" savings
 //! # Ok(())
@@ -71,9 +71,9 @@ pub mod prelude {
         ConverterParams, DcDcConverter, IdealConverter, ModulationMode, NoLoad, ResistiveLoad,
     };
     pub use subvt_device::{
-        energy_per_cycle, energy_sweep, find_mep, sizing_sweep, BodyBias, BodyEffect,
-        CircuitProfile, DieVariation, Environment, GateKind, GateMismatch, GateTiming, Joules,
-        ProcessCorner, Seconds, Technology, VariationModel, Volts,
+        energy_per_cycle, energy_sweep, find_mep, sizing_sweep, AnalyticEval, BodyBias, BodyEffect,
+        CircuitProfile, DeviceEval, DieVariation, Environment, EvalMode, GateKind, GateMismatch,
+        GateTiming, Joules, ProcessCorner, Seconds, SharedEval, Technology, VariationModel, Volts,
     };
     pub use subvt_digital::{Comparison, Fifo, MagnitudeComparator, PwmGenerator, VoltageLut};
     pub use subvt_exec::{

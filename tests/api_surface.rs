@@ -19,8 +19,8 @@ fn assert_absent(text: &str, rel: &str, name: &str) {
     let needle = format!("fn {name}(");
     assert!(
         !text.contains(&needle),
-        "{rel}: `{needle}` reappeared — the legacy entry point was \
-         deleted after its deprecation release; use StudyConfig instead"
+        "{rel}: `{needle}` reappeared — that entry point was retired \
+         (see CHANGES.md for its replacement)"
     );
 }
 
@@ -240,4 +240,83 @@ fn fleet_perf_gate_warnings_go_to_stderr() {
         "fleet.rs no longer routes any warning to stderr — did the \
          baseline warnings move?"
     );
+}
+
+/// Every `.rs` file of the workspace (sources, tests, benches,
+/// examples), as `(relative path, text)`.
+fn workspace_sources() -> Vec<(String, String)> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
+        let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("readable entry").path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    walk(root, &path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root).expect("under the root");
+                let text = fs::read_to_string(&path).expect("readable source");
+                out.push((rel.display().to_string(), text));
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        walk(root, &root.join(dir), &mut out);
+    }
+    out
+}
+
+#[test]
+fn the_device_physics_twins_stay_deleted() {
+    // One path to the device model: every consumer evaluates through a
+    // `DeviceEval`. The direct-`&Technology` twins and the `Option`
+    // forks that chose between them are gone, and so are the
+    // `StudyConfig` setters that only fed those forks.
+    let sources = workspace_sources();
+    assert!(sources.len() > 50, "the walk found the workspace");
+    for name in [
+        "find_mep_eval",
+        "energy_sweep_eval",
+        "critical_path_with",
+        "max_rate_with",
+        "energy_per_op_with",
+        "design_eval",
+        "word_for_rate_eval",
+        "savings_experiment_eval",
+        "fixed_baseline_word_eval",
+        "run_policy_impl",
+        "eval_mode",
+        "resolved_eval",
+    ] {
+        for (rel, text) in &sources {
+            assert_absent(text, rel, name);
+        }
+    }
+    // Names that live on elsewhere (a counter TDC still `measure`s, many
+    // types have a `new`) are checked in the file that retired them.
+    for (rel, names) in [
+        ("crates/subvt-tdc/src/delay_line.rs", &["cell_delay"][..]),
+        (
+            "crates/subvt-tdc/src/sensor.rs",
+            &["new", "measure", "sense", "sense_fractional"][..],
+        ),
+        ("crates/subvt-core/src/study.rs", &["tech"][..]),
+    ] {
+        let text = source(rel);
+        for name in names {
+            assert_absent(&text, rel, name);
+        }
+    }
+    // The sensor and the load trait take no technology at all.
+    for rel in [
+        "crates/subvt-tdc/src/sensor.rs",
+        "crates/subvt-loads/src/load.rs",
+    ] {
+        assert!(
+            !source(rel).contains(": &Technology"),
+            "{rel} grew a `&Technology` physics path again"
+        );
+    }
 }

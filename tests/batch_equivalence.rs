@@ -10,6 +10,8 @@
 
 use subvt_core::study::{StudyConfig, DEFAULT_BATCH};
 use subvt_core::FaultPlan;
+use subvt_device::tabulate::EvalMode;
+use subvt_device::technology::Technology;
 use subvt_exec::{chunk_len, ExecConfig};
 
 /// 150 dies → chunks of `chunk_len(150) = 3`: small batches sub-divide
@@ -116,14 +118,15 @@ fn batched_dldo_and_dlr_summaries_are_bit_identical() {
 fn batched_tabulated_summary_is_bit_identical() {
     // Tabulated surfaces are where the lane API actually hoists work
     // (one grid resolution per lane); the hoist must not change bits.
+    let tabulated = EvalMode::Tabulated.build(&Technology::st_130nm());
     let reference = config(60)
-        .eval_mode(subvt_device::tabulate::EvalMode::Tabulated)
+        .eval(tabulated.clone())
         .run()
         .summarize()
         .encode_state();
     for (batch, jobs) in [(1, 1), (5, 2), (60, 7)] {
         let got = config(60)
-            .eval_mode(subvt_device::tabulate::EvalMode::Tabulated)
+            .eval(tabulated.clone())
             .batch(batch)
             .exec(ExecConfig::with_jobs(jobs))
             .run_summary();
@@ -211,19 +214,17 @@ fn supply_backend_times_eval_mode_cross_product_is_bit_identical() {
         subvt_core::SupplyBackendKind::Dldo,
         subvt_core::SupplyBackendKind::Dlr,
     ] {
-        for eval in [
-            subvt_device::tabulate::EvalMode::Analytic,
-            subvt_device::tabulate::EvalMode::Tabulated,
-        ] {
+        for mode in [EvalMode::Analytic, EvalMode::Tabulated] {
+            let eval = mode.build(&Technology::st_130nm());
             let reference = config(320)
                 .supply_backend(kind)
-                .eval_mode(eval)
+                .eval(eval.clone())
                 .run()
                 .summarize()
                 .encode_state();
             let got = config(320)
                 .supply_backend(kind)
-                .eval_mode(eval)
+                .eval(eval)
                 .batch(5)
                 .exec(ExecConfig::with_jobs(7))
                 .run_summary();
@@ -232,7 +233,7 @@ fn supply_backend_times_eval_mode_cross_product_is_bit_identical() {
                 reference,
                 "summary diverged at supply={} eval={}",
                 kind.label(),
-                eval.label()
+                mode.label()
             );
         }
     }

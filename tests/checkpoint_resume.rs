@@ -11,6 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use subvt_core::study::{StudyConfig, StudyError};
 use subvt_core::FaultPlan;
+use subvt_device::tabulate::EvalMode;
+use subvt_device::technology::Technology;
+use subvt_exec::checkpoint::CheckpointError;
 use subvt_exec::{chunk_count, CancelToken, ExecConfig, Progress};
 
 const DIES: usize = 96;
@@ -338,4 +341,44 @@ fn a_checkpoint_from_a_different_study_is_rejected() {
         resumed.encode_state(),
         config(DIES).run_summary().encode_state()
     );
+}
+
+#[test]
+fn a_checkpoint_from_another_technology_node_is_rejected() {
+    let file = ScratchFile::new("tech");
+    let killed = run_until(&file.0, (DIES / 2) as u64, 1);
+    assert!(matches!(killed, Err(StudyError::Cancelled)));
+    // Same knobs on the 65 nm node: a different study, so the file's
+    // fingerprint must not match.
+    let r = config(DIES)
+        .eval(EvalMode::Analytic.build(&Technology::generic_65nm()))
+        .checkpoint(&file.0)
+        .try_run_summary();
+    assert!(
+        matches!(
+            r,
+            Err(StudyError::Checkpoint(
+                CheckpointError::FingerprintMismatch { .. }
+            ))
+        ),
+        "{r:?}"
+    );
+    // An explicit analytic ST 130 nm evaluator is the default study and
+    // still resumes the untouched file.
+    let resumed = config(DIES)
+        .eval(EvalMode::Analytic.build(&Technology::st_130nm()))
+        .checkpoint(&file.0)
+        .run_summary();
+    assert_eq!(
+        resumed.encode_state(),
+        config(DIES).run_summary().encode_state()
+    );
+}
+
+#[test]
+fn scenarios_that_differ_only_in_tech_fingerprint_differently() {
+    let st130 = subvt_scenario::Scenario::supply_shootout();
+    let mut n65 = st130.clone();
+    n65.study.tech = "generic-65nm".to_owned();
+    assert_ne!(st130.fingerprint(), n65.fingerprint());
 }

@@ -17,7 +17,9 @@ fn structural_delay_line_matches_analytic_model_across_voltages() {
     for vdd_mv in [300.0, 600.0, 900.0, 1200.0] {
         let vdd = Volts::from_millivolts(vdd_mv);
         let line = DelayLine::new(16, CellKind::InvNor);
-        let cell = line.cell_delay(&tech, vdd, env).expect("in range");
+        let cell = line
+            .cell_delay_with(&AnalyticEval::new(&tech), vdd, env)
+            .expect("in range");
 
         let mut nl = Netlist::new();
         let (input, taps) = line
@@ -110,11 +112,11 @@ fn sensor_deviation_matches_mep_shift_direction_for_corners() {
     // The two independent paths — the energy model's MEP shift and the
     // timing model's TDC signature — must agree on the correction
     // direction for process corners.
-    let tech = Technology::st_130nm();
+    let eval = AnalyticEval::new(&Technology::st_130nm());
     let ring = CircuitProfile::ring_oscillator();
-    let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+    let sensor = VariationSensor::with_eval(&eval, Environment::nominal(), SensorConfig::default());
     let tt_mep = find_mep(
-        &tech,
+        &eval,
         &ring,
         Environment::nominal(),
         Volts(0.12),
@@ -124,10 +126,10 @@ fn sensor_deviation_matches_mep_shift_direction_for_corners() {
 
     for corner in [ProcessCorner::Ss, ProcessCorner::Ff] {
         let env = Environment::at_corner(corner);
-        let mep = find_mep(&tech, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
+        let mep = find_mep(&eval, &ring, env, Volts(0.12), Volts(0.6)).unwrap();
         let mep_direction = (mep.vopt.volts() - tt_mep.vopt.volts()).signum();
         let deviation = sensor
-            .sense(&tech, 19, word_voltage(19), env, GateMismatch::NOMINAL)
+            .sense_with(&eval, 19, word_voltage(19), env, GateMismatch::NOMINAL)
             .expect("usable band");
         // Sensor reads slow (negative) → correction up (+) → matches a
         // higher MEP, and vice versa.
@@ -143,7 +145,7 @@ fn sensor_deviation_matches_mep_shift_direction_for_corners() {
 fn controller_on_ideal_and_switched_supplies_agree_on_steady_state() {
     let tech = Technology::st_130nm();
     let design = Environment::nominal();
-    let rate = design_rate_controller(&tech, design).expect("designable");
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), design).expect("designable");
 
     let run = |kind: SupplyKind| {
         let mut c = AdaptiveController::new(
@@ -181,7 +183,9 @@ fn structural_quantizer_matches_analytic_snapshot() {
     let vdd = Volts(0.8);
     let stages = 16u8;
     let line = DelayLine::new(stages, subvt_tdc::CellKind::InvNor);
-    let cell = line.cell_delay(&tech, vdd, env).expect("in range");
+    let cell = line
+        .cell_delay_with(&AnalyticEval::new(&tech), vdd, env)
+        .expect("in range");
 
     // Periodic reference sized for a clean single burst.
     let period = subvt_device::Seconds(cell.value() * 64.0);

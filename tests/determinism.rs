@@ -17,7 +17,7 @@ use subvt_sim::time::{SimDuration, SimTime};
 /// and everything that shaped it).
 fn controller_history(seed: u64) -> Vec<subvt_core::CycleRecord> {
     let tech = Technology::st_130nm();
-    let rate = design_rate_controller(&tech, Environment::nominal()).unwrap();
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), Environment::nominal()).unwrap();
     let mut c = AdaptiveController::new(
         tech,
         RingOscillator::paper_circuit(),
@@ -173,7 +173,7 @@ fn summary_only_yield_study_is_thread_count_invariant() {
 
 fn mc_yield_eval(mode: EvalMode, jobs: usize, seed: u64, dies: usize) -> YieldReport {
     StudyConfig::new(dies, seed)
-        .eval_mode(mode)
+        .eval(mode.build(&Technology::st_130nm()))
         .exec(ExecConfig::with_jobs(jobs))
         .run()
 }
@@ -184,7 +184,7 @@ fn tabulated_yield_study_is_bit_identical_across_job_counts() {
     // grid, and interpolation is a pure function of the table — so the
     // PR 2 determinism contract must hold unchanged with tabulation on.
     let reference = StudyConfig::new(120, 77)
-        .eval_mode(EvalMode::Tabulated)
+        .eval(EvalMode::Tabulated.build(&Technology::st_130nm()))
         .exec(ExecConfig::serial())
         .run();
     for jobs in [1, 2, 7] {

@@ -13,14 +13,17 @@ use subvt_device::units::Hertz;
 fn abb_and_avs_are_interchangeable_for_one_lsb_of_variation() {
     let tech = Technology::st_130nm();
     let env = Environment::nominal();
-    let sensor = VariationSensor::new(&tech, env, SensorConfig::default());
+    let eval = AnalyticEval::new(&tech);
+    let sensor = VariationSensor::with_eval(&eval, env, SensorConfig::default());
     let die = GateMismatch {
         nmos_dvth: Volts(0.018_75),
         pmos_dvth: Volts(0.018_75),
     };
 
     // AVS route: one word up.
-    let avs = sensor.sense(&tech, 12, word_voltage(13), env, die).unwrap();
+    let avs = sensor
+        .sense_with(&eval, 12, word_voltage(13), env, die)
+        .unwrap();
     // ABB route: converge the bias.
     let mut abb = AbbCompensator::new(BodyEffect::bulk_130nm());
     let (bias, abb_res) = abb.converge(&tech, &sensor, 12, env, die, 8).unwrap();
@@ -36,7 +39,8 @@ fn boot_then_adapt_end_to_end() {
     // check, then hand over to the adaptive controller on a slow die.
     let tech = Technology::st_130nm();
     let env = Environment::at_corner(ProcessCorner::Ss);
-    let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+    let eval = AnalyticEval::new(&tech);
+    let sensor = VariationSensor::with_eval(&eval, Environment::nominal(), SensorConfig::default());
     let mut converter = DcDcConverter::new(ConverterParams::default(), Box::new(NoLoad));
     let mut boot = BootSequence::new(12, 30);
     let state = boot
@@ -53,7 +57,7 @@ fn boot_then_adapt_end_to_end() {
     assert!(matches!(state, BootState::Ready { .. }), "{state:?}");
 
     // The adaptive loop then takes over and lands the +1 correction.
-    let rate = design_rate_controller(&tech, Environment::nominal()).unwrap();
+    let rate = design_rate_controller(&eval, Environment::nominal()).unwrap();
     let mut controller = AdaptiveController::new(
         tech,
         RingOscillator::paper_circuit(),
@@ -85,7 +89,7 @@ fn drift_and_monte_carlo_compose() {
     };
 
     let tech = Technology::st_130nm();
-    let rate = design_rate_controller(&tech, Environment::nominal()).unwrap();
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), Environment::nominal()).unwrap();
     let mut controller = AdaptiveController::new(
         tech,
         RingOscillator::paper_circuit(),
@@ -123,13 +127,14 @@ fn overhead_is_dwarfed_by_a_realistic_load_but_not_by_the_probe() {
     let sense_cost = (b.tdc + b.control).femtos();
 
     let env = Environment::nominal();
+    let eval = AnalyticEval::new(&tech);
     let ring_op = RingOscillator::paper_circuit()
-        .energy_per_op(&tech, Volts(0.206), env)
+        .energy_per_op(&eval, Volts(0.206), env)
         .unwrap()
         .total()
         .femtos();
     let fir_op = FirFilter::lowpass_9tap()
-        .energy_per_op(&tech, Volts(0.206), env)
+        .energy_per_op(&eval, Volts(0.206), env)
         .unwrap()
         .total()
         .femtos();
@@ -147,12 +152,13 @@ fn overhead_is_dwarfed_by_a_realistic_load_but_not_by_the_probe() {
 fn counter_tdc_agrees_with_direct_sensor_on_corner_direction() {
     let tech = Technology::st_130nm();
     let env_slow = Environment::at_corner(ProcessCorner::Ss);
-    let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+    let eval = AnalyticEval::new(&tech);
+    let sensor = VariationSensor::with_eval(&eval, Environment::nominal(), SensorConfig::default());
     let counter = CounterSensor::full_range();
     let v = word_voltage(12);
 
     let direct = sensor
-        .sense(&tech, 12, v, env_slow, GateMismatch::NOMINAL)
+        .sense_with(&eval, 12, v, env_slow, GateMismatch::NOMINAL)
         .unwrap();
     let count_nominal = counter.measure(&tech, v, Environment::nominal(), GateMismatch::NOMINAL);
     let count_slow = counter.measure(&tech, v, env_slow, GateMismatch::NOMINAL);
@@ -191,7 +197,7 @@ fn idle_policy_and_controller_agree_on_the_operating_point() {
     let ring = RingOscillator::paper_circuit();
     let cmp = compare_idle_policies(&tech, &ring, env, Hertz(100e3), Volts(0.6), 0.05).unwrap();
 
-    let rate = design_rate_controller(&tech, env).unwrap();
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), env).unwrap();
     let mut controller = AdaptiveController::new(
         tech,
         ring,
@@ -228,9 +234,10 @@ fn the_whole_stack_works_on_the_65nm_node() {
     use subvt_device::units::Hertz;
 
     let tech = Technology::generic_65nm();
+    let eval = AnalyticEval::new(&tech);
     let ring = RingOscillator::paper_circuit();
     let rate = RateController::design(
-        &tech,
+        &eval,
         &ring,
         Environment::nominal(),
         &[(8, Hertz(100e3)), (16, Hertz(1e6)), (32, Hertz(10e6))],
@@ -239,7 +246,7 @@ fn the_whole_stack_works_on_the_65nm_node() {
 
     // The 65 nm MEP sits at its own (higher-Vth) point.
     let mep = find_mep(
-        &tech,
+        &eval,
         ring.profile(),
         Environment::nominal(),
         Volts(0.12),

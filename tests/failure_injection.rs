@@ -116,7 +116,7 @@ fn controller_recovers_from_an_overload_burst() {
     use subvt_rng::StdRng;
     let tech = Technology::st_130nm();
     let design = Environment::nominal();
-    let rate = design_rate_controller(&tech, design).expect("designable");
+    let rate = design_rate_controller(&AnalyticEval::new(&tech), design).expect("designable");
     let mut c = AdaptiveController::new(
         tech,
         RingOscillator::paper_circuit(),
@@ -152,12 +152,12 @@ fn controller_recovers_from_an_overload_burst() {
 
 #[test]
 fn sensor_on_a_dead_supply_reads_slow_not_garbage() {
-    let tech = Technology::st_130nm();
-    let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+    let eval = AnalyticEval::new(&Technology::st_130nm());
+    let sensor = VariationSensor::with_eval(&eval, Environment::nominal(), SensorConfig::default());
     // The rail collapsed to 30 mV: below the functional floor.
     let dev = sensor
-        .sense(
-            &tech,
+        .sense_with(
+            &eval,
             19,
             Volts(0.03),
             Environment::nominal(),
@@ -171,7 +171,11 @@ fn sensor_on_a_dead_supply_reads_slow_not_garbage() {
 fn boot_retries_then_fails_rather_than_handing_over_a_bad_chip() {
     use subvt::prelude::{BootSequence, BootState};
     let tech = Technology::st_130nm();
-    let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+    let sensor = VariationSensor::with_eval(
+        &AnalyticEval::new(&tech),
+        Environment::nominal(),
+        SensorConfig::default(),
+    );
     let mut converter =
         DcDcConverter::new(ConverterParams::default(), Box::new(subvt_dcdc::NoLoad));
     let mut boot = BootSequence::new(12, 8);

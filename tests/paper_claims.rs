@@ -8,6 +8,10 @@ fn tech() -> Technology {
     Technology::st_130nm()
 }
 
+fn analytic() -> SharedEval {
+    EvalMode::Analytic.build(&tech())
+}
+
 // --- Abstract -------------------------------------------------------------
 
 #[test]
@@ -29,7 +33,8 @@ fn abstract_dcdc_range_and_resolution() {
 fn abstract_energy_improvement_up_to_55_percent() {
     // "energy improvement of upto 55% compared to when no controller is
     // employed"
-    let report = savings_experiment(&Scenario::paper_worked_example()).expect("designable");
+    let report =
+        savings_experiment(&Scenario::paper_worked_example(), &analytic()).expect("designable");
     let savings = report.savings_vs_fixed();
     assert!(
         (0.40..0.70).contains(&savings),
@@ -56,7 +61,7 @@ fn sec2_fig1_mep_loci() {
     // "the Vopt is 200mV at typical corner, 220mV at slow and 250mV for
     // FS corner. The minimum energy is 2.65fJ for typical, 1.7fJ for
     // slow and 2.42fJ for fast-slow."
-    let t = tech();
+    let t = AnalyticEval::new(&tech());
     let ring = CircuitProfile::ring_oscillator();
     let cases = [
         (ProcessCorner::Tt, 200.0, 2.65),
@@ -89,7 +94,7 @@ fn sec2_fig1_mep_loci() {
 fn sec2_vopt_and_energy_spread() {
     // "This shows a variation in the Vopt of 25% and the energy
     // variation of 55%."
-    let t = tech();
+    let t = AnalyticEval::new(&tech());
     let ring = CircuitProfile::ring_oscillator();
     let meps: Vec<_> = ProcessCorner::FIGURE_CORNERS
         .iter()
@@ -128,7 +133,7 @@ fn sec2_fig2_temperature_moves_the_mep_up() {
     // "the Vopt at T=25C is 200mV and at T=85C is 250mV" (our physics
     // gives 247 mV; the energy rises steeper than the paper's +25% —
     // see EXPERIMENTS.md).
-    let t = tech();
+    let t = AnalyticEval::new(&tech());
     let ring = CircuitProfile::ring_oscillator();
     let cold = find_mep(
         &t,
@@ -251,7 +256,8 @@ fn sec4_one_bit_correction_to_the_slow_mep() {
     // "because of the 1-bit shift the corrected value will be
     // ~200+18.75 = 218.75 which is the optimal voltage for MEP for the
     // slow process" — within 2 system-cycle confirmation.
-    let report = savings_experiment(&Scenario::paper_worked_example()).expect("designable");
+    let report =
+        savings_experiment(&Scenario::paper_worked_example(), &analytic()).expect("designable");
     assert_eq!(report.compensated.compensation, 1, "the 1-bit LUT shift");
     // Idle voltage after correction ≈ 218.75 mV ≈ the SS MEP (220 mV).
     let idle_mv = report.compensated.mean_vout.millivolts();
@@ -269,7 +275,7 @@ fn sec4_controller_works_with_the_fir_load() {
     let t = tech();
     let fir = FirFilter::lowpass_9tap();
     let rate = RateController::design(
-        &t,
+        &AnalyticEval::new(&t),
         &fir,
         Environment::nominal(),
         &[

@@ -46,7 +46,7 @@ properties! {
     /// The located MEP never beats any sweep sample (it is a true
     /// minimum) for any activity.
     fn mep_is_global_minimum(activity in 0.02f64..0.8) {
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let profile = CircuitProfile::ring_oscillator().with_activity(activity);
         let env = Environment::nominal();
         let mep = find_mep(&tech, &profile, env, Volts(0.12), Volts(0.9)).unwrap();
@@ -112,7 +112,7 @@ properties! {
     /// The rate controller's designed LUT is monotone: more queue
     /// pressure never lowers the voltage word.
     fn designed_lut_is_monotone(q1 in 0usize..64, q2 in 0usize..64) {
-        let tech = Technology::st_130nm();
+        let tech = AnalyticEval::new(&Technology::st_130nm());
         let rate = design_rate_controller(&tech, Environment::nominal()).unwrap();
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         prop_assert!(rate.desired_word(lo) <= rate.desired_word(hi));
@@ -124,14 +124,14 @@ properties! {
         // One deviation LSB corresponds to ≈18.75 mV of effective Vth
         // shift, so anything below ~half an LSB legitimately reads 0.
         prop_assume!(shift_mv.abs() > 12.0);
-        let tech = Technology::st_130nm();
-        let sensor = VariationSensor::new(&tech, Environment::nominal(), SensorConfig::default());
+        let tech = AnalyticEval::new(&Technology::st_130nm());
+        let sensor = VariationSensor::with_eval(&tech, Environment::nominal(), SensorConfig::default());
         let mismatch = GateMismatch {
             nmos_dvth: Volts::from_millivolts(shift_mv),
             pmos_dvth: Volts::from_millivolts(shift_mv),
         };
         let dev = sensor
-            .sense(&tech, 12, word_voltage(12), Environment::nominal(), mismatch)
+            .sense_with(&tech, 12, word_voltage(12), Environment::nominal(), mismatch)
             .unwrap();
         if shift_mv > 0.0 {
             prop_assert!(dev < 0, "higher Vth must read slow, got {dev}");
@@ -280,7 +280,8 @@ properties! {
 fn controller_runs_are_deterministic() {
     let run = || {
         let tech = Technology::st_130nm();
-        let rate = design_rate_controller(&tech, Environment::nominal()).unwrap();
+        let rate =
+            design_rate_controller(&AnalyticEval::new(&tech), Environment::nominal()).unwrap();
         let mut c = AdaptiveController::new(
             tech,
             RingOscillator::paper_circuit(),
@@ -317,7 +318,7 @@ properties! {
     ) {
         let tech = Technology::st_130nm();
         let design = Environment::nominal();
-        let rate = design_rate_controller(&tech, design).unwrap();
+        let rate = design_rate_controller(&AnalyticEval::new(&tech), design).unwrap();
         let actual = Environment::at_corner(ProcessCorner::ALL[corner_idx])
             .with_celsius(celsius);
         let die = GateMismatch {
