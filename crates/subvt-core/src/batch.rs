@@ -9,7 +9,10 @@
 //! resolution per lane
 //! for tabulated surfaces, auto-vectorizable inner loops — and the
 //! die-independent energy evaluations happen once per operating point
-//! instead of once per die.
+//! instead of once per die. The dithered check, where every die sits
+//! at its own supply, runs as per-die-supply lanes
+//! (`critical_path_multi`, `energy_per_op_multi`) that hoist the
+//! environment-only device terms out of the per-die loop.
 //!
 //! The phases are driven by the one scoring engine,
 //! `crate::matrix::fold_matrix_chunk`, which every summary and fault
@@ -27,6 +30,7 @@ use std::fmt::Write as _;
 use std::ops::Range;
 
 use subvt_device::delay::GateMismatch;
+use subvt_device::energy::EnergyBreakdown;
 use subvt_device::tabulate::DeviceEval;
 use subvt_device::units::{Joules, Seconds, Volts};
 use subvt_digital::lut::VoltageWord;
@@ -34,7 +38,7 @@ use subvt_exec::chunk_len;
 use subvt_rng::{Jump, Rng, StdRng};
 use subvt_tdc::sensor::{word_voltage, SenseError};
 
-use crate::yield_study::{DieOutcome, StudyContext, SupplySim};
+use crate::yield_study::{DieOutcome, StudyContext};
 
 /// The per-die seed stream in `O(chunks)` memory.
 ///
@@ -91,23 +95,6 @@ impl ChunkSeeds {
     }
 }
 
-/// The rate/energy evaluation voltages for a commanded word — the same
-/// split [`StudyContext::passes`] makes (trough for rate, mean for
-/// energy on a switched supply; the exact word voltage on an ideal
-/// rail).
-fn word_voltages(ctx: &StudyContext<'_>, word: VoltageWord) -> (Volts, Volts) {
-    match ctx.supply {
-        SupplySim::Ideal => {
-            let v = word_voltage(word);
-            (v, v)
-        }
-        SupplySim::Regulated(model) => {
-            let op = model.point(word);
-            (op.v_min, op.v_mean)
-        }
-    }
-}
-
 /// Spec-checks one lane of dies at a common commanded word: the energy
 /// leg (die-independent) is evaluated once through `energy_eval`, the
 /// rate leg runs as a critical-path lane. Writes the per-die pass flag
@@ -121,7 +108,7 @@ fn lane_passes(
     delays: &mut [Seconds],
     pass: &mut [bool],
 ) -> Joules {
-    let (v_rate, v_energy) = word_voltages(ctx, word);
+    let (v_rate, v_energy) = ctx.word_rails(word);
     let energy = ctx
         .load
         .energy_per_op(energy_eval, v_energy, ctx.env)
@@ -176,6 +163,12 @@ pub(crate) struct DieBatch {
     voltages: Vec<Volts>,
     group_v: Vec<Volts>,
     frac_out: Vec<Result<f64, SenseError>>,
+    // Dithered-check scratch: each die's rate and energy rails and
+    // its two legs' answers.
+    rate_v: Vec<Volts>,
+    energy_v: Vec<Volts>,
+    paths: Vec<Option<Seconds>>,
+    energies: Vec<Option<EnergyBreakdown>>,
 }
 
 impl DieBatch {
@@ -200,6 +193,10 @@ impl DieBatch {
             voltages: Vec::with_capacity(batch),
             group_v: Vec::with_capacity(batch),
             frac_out: Vec::with_capacity(batch),
+            rate_v: Vec::with_capacity(batch),
+            energy_v: Vec::with_capacity(batch),
+            paths: Vec::with_capacity(batch),
+            energies: Vec::with_capacity(batch),
         }
     }
 
@@ -433,11 +430,38 @@ impl DieBatch {
     }
 
     /// Phase E (check): the dithered spec check at each die's settled
-    /// voltage. Depends on the corner and the supply.
+    /// voltage, as two per-die-supply lanes over the
+    /// [`StudyContext::dithered_rails`] of every die — the rate leg on
+    /// the study evaluator (each die times a fresh operating point, so
+    /// the memo is bypassed as in the settle lanes), the energy leg
+    /// through the group's memo. Die by die this is
+    /// [`StudyContext::passes_dithered`]. Depends on the corner and the
+    /// supply.
     pub(crate) fn dither_check(&mut self, ctx: &StudyContext<'_>, cached: &dyn DeviceEval) {
-        for k in 0..self.len() {
-            let (pass, _) = ctx.passes_dithered(cached, self.voltages[k], self.mismatches[k]);
-            self.dithered_pass[k] = pass;
+        let n = self.len();
+        self.rate_v.clear();
+        self.energy_v.clear();
+        for &v in &self.voltages[..n] {
+            let (v_rate, v_energy) = ctx.dithered_rails(v);
+            self.rate_v.push(v_rate);
+            self.energy_v.push(v_energy);
+        }
+        self.paths.clear();
+        self.paths.resize(n, None);
+        ctx.load.critical_path_multi(
+            ctx.eval.as_ref(),
+            &self.rate_v,
+            ctx.env,
+            &self.mismatches,
+            &mut self.paths,
+        );
+        self.energies.clear();
+        self.energies.resize(n, None);
+        ctx.load
+            .energy_per_op_multi(cached, &self.energy_v, ctx.env, &mut self.energies);
+        for k in 0..n {
+            let rate = self.paths[k].map(Seconds::to_frequency);
+            (self.dithered_pass[k], _) = ctx.verdict(rate, self.energies[k]);
         }
     }
 
@@ -456,7 +480,80 @@ impl DieBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::{StudyConfig, SupplyBackendKind};
+    use crate::yield_study::die_seeds;
     use std::collections::HashSet;
+    use subvt_device::tabulate::CachedEval;
+
+    #[test]
+    fn lane_dither_check_matches_the_scalar_reference() {
+        const DIES: usize = 40;
+        let seeds = die_seeds(&mut StdRng::seed_from_u64(2009), DIES);
+        for supply in [
+            SupplyBackendKind::Ideal,
+            SupplyBackendKind::Buck,
+            SupplyBackendKind::Dldo,
+            SupplyBackendKind::Dlr,
+        ] {
+            let base = StudyConfig::new(DIES, 2009).supply_backend(supply);
+            let sim = supply.build_sim(base.solver);
+            let ctx = StudyContext::new(
+                base.eval.clone(),
+                base.load.as_dyn(),
+                base.env,
+                &base.variation,
+                base.spec,
+                base.fixed_word,
+                base.design_word,
+                &sim,
+            );
+            let mut batch = DieBatch::with_capacity(DIES);
+            batch.draw(&ctx, &seeds);
+            batch.dither_walk(&ctx);
+            // Past the walked dies: the walk's 18.75 mV lower clamp and
+            // points straddling the functional floor (no rate leg, no
+            // energy), the design word's exact voltage (an energy key
+            // the fixed lane already memoized), repeats of one voltage
+            // (lane-internal memo hits) and the 1.18 V upper clamp.
+            let floor = ctx.eval.technology().min_vdd.volts();
+            let design = word_voltage(ctx.design_word).volts();
+            let edge = [
+                0.018_75,
+                0.018_75,
+                floor - 1e-4,
+                floor,
+                floor + 1e-4,
+                design,
+                design,
+                0.2071,
+                0.2071,
+                1.18,
+            ];
+            for (v, e) in batch.voltages[DIES - edge.len()..].iter_mut().zip(edge) {
+                *v = Volts(e);
+            }
+            // The engine's order: the group memo has served the fixed
+            // and adaptive legs before the dithered check.
+            let cached = CachedEval::new(ctx.eval.as_ref());
+            batch.settle_words(&ctx);
+            batch.fixed_lane(&ctx, &cached);
+            batch.adaptive_lanes(&ctx, &cached);
+            batch.dither_check(&ctx, &cached);
+            let reference = CachedEval::new(ctx.eval.as_ref());
+            let mut verdicts = HashSet::new();
+            for k in 0..DIES {
+                let (want, _) =
+                    ctx.passes_dithered(&reference, batch.voltages[k], batch.mismatches[k]);
+                assert_eq!(
+                    batch.dithered_pass[k], want,
+                    "{supply:?} die {k} at {:?}",
+                    batch.voltages[k]
+                );
+                verdicts.insert(want);
+            }
+            assert_eq!(verdicts.len(), 2, "{supply:?}: both verdicts exercised");
+        }
+    }
 
     /// Serial reference for [`ChunkSeeds::from_seed`]: walk the parent
     /// die by die with the real `fork_seed` labels, snapshotting its

@@ -41,7 +41,7 @@
 
 use std::time::Instant;
 
-use subvt_device::mosfet::Environment;
+use subvt_device::mosfet::{check_celsius, Environment};
 use subvt_device::tabulate::CachedEval;
 use subvt_device::units::Volts;
 use subvt_digital::lut::VoltageWord;
@@ -476,11 +476,16 @@ fn open_checkpoint(
 /// behind [`StudyMatrix::try_run`] and the standalone
 /// [`StudyConfig::try_run_summary`] / [`StudyConfig::try_run_faults`]
 /// (a one-cell matrix). `base`'s own supply/environment/fault axes are
-/// not read; the cells carry them.
+/// not read; the cells carry them. Every environment, the base's
+/// included, is checked against the model's temperature domain first,
+/// so an out-of-domain run is a typed error before any work starts.
 pub(crate) fn run_cells(
     base: &StudyConfig<'_>,
     cells: &[MatrixCell],
 ) -> Result<Vec<CellSummary>, StudyError> {
+    for env in std::iter::once(base.env).chain(cells.iter().map(|c| c.env)) {
+        check_celsius(env.temperature.celsius()).map_err(StudyError::Environment)?;
+    }
     if cells.is_empty() {
         return Ok(Vec::new());
     }

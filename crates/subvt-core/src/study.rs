@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use subvt_dcdc::converter::ConverterParams;
 use subvt_dcdc::SolverMode;
-use subvt_device::mosfet::Environment;
+use subvt_device::mosfet::{Environment, TemperatureRangeError};
 use subvt_device::tabulate::{EvalMode, SharedEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Joules};
@@ -144,6 +144,9 @@ pub enum StudyError {
     /// trusted. A damaged or mismatched file is an error, never a
     /// silent restart.
     Checkpoint(CheckpointError),
+    /// A study or cell temperature lies outside the device model's
+    /// [`subvt_device::SUPPORTED_CELSIUS`] domain (or is not a number).
+    Environment(TemperatureRangeError),
 }
 
 impl StudyError {
@@ -160,6 +163,7 @@ impl std::fmt::Display for StudyError {
         match self {
             StudyError::Cancelled => write!(f, "study cancelled"),
             StudyError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            StudyError::Environment(e) => write!(f, "environment: {e}"),
         }
     }
 }
@@ -169,6 +173,7 @@ impl std::error::Error for StudyError {
         match self {
             StudyError::Cancelled => None,
             StudyError::Checkpoint(e) => Some(e),
+            StudyError::Environment(e) => Some(e),
         }
     }
 }
@@ -430,7 +435,8 @@ impl<'a> StudyConfig<'a> {
     /// [`StudyError::Cancelled`] when the armed token fires;
     /// [`StudyError::Checkpoint`] when the checkpoint file cannot be
     /// created/appended, or an existing one is damaged or belongs to a
-    /// different configuration.
+    /// different configuration; [`StudyError::Environment`] when the
+    /// study temperature is outside the model's supported range.
     pub fn try_run_summary(&self) -> Result<YieldSummary, StudyError> {
         Ok(match self.run_one_cell(self.faults)? {
             CellSummary::Yield(summary) => summary,

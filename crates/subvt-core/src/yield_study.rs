@@ -15,6 +15,7 @@ use subvt_rng::{Rng, StdRng};
 use subvt_dcdc::converter::ConverterParams;
 use subvt_device::constants::DCDC_LSB;
 use subvt_device::delay::GateMismatch;
+use subvt_device::energy::EnergyBreakdown;
 use subvt_device::mosfet::Environment;
 use subvt_device::tabulate::{CachedEval, DeviceEval, SharedEval};
 use subvt_device::units::{Hertz, Joules, Volts};
@@ -407,29 +408,42 @@ impl<'a> StudyContext<'a> {
         v_energy: Volts,
         die: GateMismatch,
     ) -> (bool, Joules) {
-        let rate_ok = self
-            .load
-            .max_rate(eval, v_rate, self.env, die)
-            .map(|r| r.value() >= self.spec.min_rate.value())
-            .unwrap_or(false);
-        let energy = self
-            .load
-            .energy_per_op(eval, v_energy, self.env)
-            .map(|e| e.total())
-            .unwrap_or(Joules(f64::INFINITY));
+        self.verdict(
+            self.load.max_rate(eval, v_rate, self.env, die).ok(),
+            self.load.energy_per_op(eval, v_energy, self.env).ok(),
+        )
+    }
+
+    /// The spec verdict and the energy per operation from one die's
+    /// rate and energy legs; `None` is a leg whose supply was below the
+    /// floor (no rate, infinite energy).
+    pub(crate) fn verdict(
+        &self,
+        rate: Option<Hertz>,
+        energy: Option<EnergyBreakdown>,
+    ) -> (bool, Joules) {
+        let rate_ok = rate.is_some_and(|r| r.value() >= self.spec.min_rate.value());
+        let energy = energy.map_or(Joules(f64::INFINITY), |e| e.total());
         (
             rate_ok && energy.value() <= self.spec.max_energy_per_op.value(),
             energy,
         )
     }
 
-    pub(crate) fn passes_v(
-        &self,
-        eval: &dyn DeviceEval,
-        v: Volts,
-        die: GateMismatch,
-    ) -> (bool, Joules) {
-        self.passes_at(eval, v, v, die)
+    /// The `(v_rate, v_energy)` evaluation voltages of a commanded
+    /// word: the ripple trough and the cycle mean on a regulated
+    /// supply, the exact word voltage twice on an ideal rail.
+    pub(crate) fn word_rails(&self, word: VoltageWord) -> (Volts, Volts) {
+        match self.supply {
+            SupplySim::Ideal => {
+                let v = word_voltage(word);
+                (v, v)
+            }
+            SupplySim::Regulated(model) => {
+                let op = model.point(word);
+                (op.v_min, op.v_mean)
+            }
+        }
     }
 
     pub(crate) fn passes(
@@ -438,26 +452,20 @@ impl<'a> StudyContext<'a> {
         word: VoltageWord,
         die: GateMismatch,
     ) -> (bool, Joules) {
-        match self.supply {
-            SupplySim::Ideal => self.passes_v(eval, word_voltage(word), die),
-            SupplySim::Regulated(model) => {
-                let op = model.point(word);
-                self.passes_at(eval, op.v_min, op.v_mean, die)
-            }
-        }
+        let (v_rate, v_energy) = self.word_rails(word);
+        self.passes_at(eval, v_rate, v_energy, die)
     }
 
-    /// Scores the dithered design's continuous settled voltage. On a
-    /// regulated supply the dither rides on the nearest word's settled
-    /// waveform, so it inherits that word's droop and ripple trough.
-    pub(crate) fn passes_dithered(
-        &self,
-        eval: &dyn DeviceEval,
-        v: Volts,
-        die: GateMismatch,
-    ) -> (bool, Joules) {
+    /// The `(v_rate, v_energy)` evaluation voltages of the dithered
+    /// design's continuous settled voltage `v`. On a regulated supply
+    /// the dither rides on the nearest word's settled waveform, so it
+    /// inherits that word's droop and ripple trough; on an ideal rail
+    /// both legs see `v`. The one mapping behind both
+    /// [`StudyContext::passes_dithered`] and the batched dithered
+    /// check.
+    pub(crate) fn dithered_rails(&self, v: Volts) -> (Volts, Volts) {
         match self.supply {
-            SupplySim::Ideal => self.passes_v(eval, v, die),
+            SupplySim::Ideal => (v, v),
             SupplySim::Regulated(model) => {
                 let lsb = DCDC_LSB.volts();
                 let nearest = ((v.volts() / lsb).round() as i64).clamp(1, 63) as VoltageWord;
@@ -465,9 +473,21 @@ impl<'a> StudyContext<'a> {
                 let droop = op.v_mean.volts() - word_voltage(nearest).volts();
                 let trough = op.v_mean.volts() - op.v_min.volts();
                 let v_mean = Volts(v.volts() + droop);
-                self.passes_at(eval, Volts(v_mean.volts() - trough), v_mean, die)
+                (Volts(v_mean.volts() - trough), v_mean)
             }
         }
+    }
+
+    /// Scores the dithered design's continuous settled voltage at its
+    /// [`StudyContext::dithered_rails`].
+    pub(crate) fn passes_dithered(
+        &self,
+        eval: &dyn DeviceEval,
+        v: Volts,
+        die: GateMismatch,
+    ) -> (bool, Joules) {
+        let (v_rate, v_energy) = self.dithered_rails(v);
+        self.passes_at(eval, v_rate, v_energy, die)
     }
 
     /// Scores one die from its pre-forked stream — a pure function of

@@ -45,6 +45,13 @@ pub(crate) fn record_analytic_energy() {
     ANALYTIC_ENERGY_EVALS.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Records `n` analytic energy evaluations in one atomic bump (the
+/// per-die-supply energy kernel prices a whole lane per call).
+#[inline]
+pub(crate) fn record_analytic_energies(n: u64) {
+    ANALYTIC_ENERGY_EVALS.fetch_add(n, Ordering::Relaxed);
+}
+
 #[inline]
 pub(crate) fn record_interp_delay_hit() {
     INTERP_DELAY_HITS.fetch_add(1, Ordering::Relaxed);
@@ -77,6 +84,12 @@ pub(crate) fn record_table_build(nanos: u64) {
 #[inline]
 pub(crate) fn record_cache_hit() {
     CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Records `n` memo hits in one atomic bump (a memoized lane query).
+#[inline]
+pub(crate) fn record_cache_hits(n: u64) {
+    CACHE_HITS.fetch_add(n, Ordering::Relaxed);
 }
 
 /// A point-in-time copy of every device-model counter.

@@ -407,20 +407,75 @@ pub trait DeviceEval: fmt::Debug + Send + Sync {
         fanout: f64,
         out: &mut [Option<(Seconds, Seconds)>],
     ) {
-        assert_eq!(
-            vdds.len(),
-            mismatches.len(),
-            "supply lane length must match the mismatch lane"
-        );
-        assert_eq!(
-            vdds.len(),
-            out.len(),
-            "lane output length must match the supply lane"
-        );
+        assert_multi_lens(vdds.len(), mismatches.len(), out.len());
         for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
             *o = self.gate_delay_pair(kinds, *v, env, *m, fanout).ok();
         }
     }
+
+    /// Delays of one gate kind with a *per-die* supply voltage — the
+    /// dithered spec check's rate leg, where every die is timed at its
+    /// own settled voltage. `out[i]` is `None` exactly when die `i`'s
+    /// supply is below the technology floor, as in
+    /// [`DeviceEval::gate_delay_pair_multi`].
+    ///
+    /// The default is the scalar loop, bit-identical to calling
+    /// [`DeviceEval::gate_delay`] per die.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdds`, `mismatches` and `out` lengths differ.
+    fn gate_delay_multi(
+        &self,
+        kind: GateKind,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        fanout: f64,
+        out: &mut [Option<Seconds>],
+    ) {
+        assert_multi_lens(vdds.len(), mismatches.len(), out.len());
+        for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = self.gate_delay(kind, *v, env, *m, fanout).ok();
+        }
+    }
+
+    /// Energy breakdowns of one cycle of `profile` with a *per-die*
+    /// supply voltage — the dithered spec check's energy leg. `out[i]`
+    /// is `None` exactly when `vdds[i]` is below the technology floor.
+    ///
+    /// The default is the scalar loop, bit-identical to calling
+    /// [`DeviceEval::energy`] per die.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdds` and `out` lengths differ.
+    fn energy_multi(
+        &self,
+        profile: &CircuitProfile,
+        vdds: &[Volts],
+        env: Environment,
+        out: &mut [Option<EnergyBreakdown>],
+    ) {
+        assert_energy_lens(vdds.len(), out.len());
+        for (v, o) in vdds.iter().zip(out.iter_mut()) {
+            *o = self.energy(profile, *v, env).ok();
+        }
+    }
+}
+
+/// The length contract of the per-die-supply (`*_multi`) lanes.
+fn assert_multi_lens(vdds: usize, mismatches: usize, out: usize) {
+    assert_eq!(
+        vdds, mismatches,
+        "supply lane length must match the mismatch lane"
+    );
+    assert_energy_lens(vdds, out);
+}
+
+/// The length contract of [`DeviceEval::energy_multi`].
+fn assert_energy_lens(vdds: usize, out: usize) {
+    assert_eq!(vdds, out, "lane output length must match the supply lane");
 }
 
 /// A shareable, thread-safe evaluator handle.
@@ -481,15 +536,12 @@ struct EkvOnCurrent {
 impl EkvOnCurrent {
     fn new(p: &MosfetParams, vdd: Volts, env: Environment) -> EkvOnCurrent {
         let ut = thermal_voltage(env.temperature).volts();
-        let dt = env.temperature.value() - nominal_temperature().value();
-        let vth_base =
-            p.vth0.volts() + p.device.corner_vth_shift(env.corner).volts() + p.vth_tempco * dt
-                - p.dibl * vdd.volts().abs();
+        let terms = EkvTerms::new(p, env, ut);
         EkvOnCurrent {
             vdd: vdd.volts(),
-            vth_base,
-            denom: 2.0 * p.slope_factor * ut,
-            spec: p.spec_current_at(env.temperature).value(),
+            vth_base: terms.vth_env - terms.dibl * vdd.volts().abs(),
+            denom: terms.denom,
+            spec: terms.spec,
             sat: 1.0 - (-vdd.volts().abs() / ut).exp(),
         }
     }
@@ -534,12 +586,11 @@ struct KindFactors {
 
 impl KindFactors {
     fn new(tech: &Technology, kind: GateKind, vdd: Volts, fanout: f64) -> KindFactors {
-        let cap = tech.gate_cap.value() * kind.cap_factor() * fanout.max(0.0);
-        let (n_stack, p_stack) = kind.stack_factors();
+        let slope = KindSlope::new(tech, kind, fanout);
         KindFactors {
-            charge: tech.delay_fit * cap * vdd.volts(),
-            n_stack,
-            p_stack,
+            charge: slope.charge_per_volt * vdd.volts(),
+            n_stack: slope.n_stack,
+            p_stack: slope.p_stack,
         }
     }
 
@@ -559,6 +610,121 @@ impl KindFactors {
         let t_fall = F64x4::splat(self.charge) / (i_on_n * F64x4::splat(self.n_stack));
         let t_rise = F64x4::splat(self.charge) / (i_on_p * F64x4::splat(self.p_stack));
         F64x4::splat(0.5) * (t_fall + t_rise)
+    }
+}
+
+/// Per-gate-kind constants of the delay expression with the supply
+/// left free — the per-die-supply form of [`KindFactors`]: the charge
+/// `delay_fit · C_load · Vdd` keeps its scalar association
+/// `(delay_fit · C_load) · Vdd`.
+#[derive(Debug, Clone, Copy)]
+struct KindSlope {
+    charge_per_volt: f64,
+    n_stack: f64,
+    p_stack: f64,
+}
+
+impl KindSlope {
+    fn new(tech: &Technology, kind: GateKind, fanout: f64) -> KindSlope {
+        let cap = tech.gate_cap.value() * kind.cap_factor() * fanout.max(0.0);
+        let (n_stack, p_stack) = kind.stack_factors();
+        KindSlope {
+            charge_per_volt: tech.delay_fit * cap,
+            n_stack,
+            p_stack,
+        }
+    }
+
+    /// The delay at supply `v` for one die's on-currents.
+    #[inline]
+    fn delay(&self, v: f64, i_on_n: f64, i_on_p: f64) -> Seconds {
+        let charge = self.charge_per_volt * v;
+        Seconds(0.5 * (charge / (i_on_n * self.n_stack) + charge / (i_on_p * self.p_stack)))
+    }
+}
+
+/// Temperature-only constants of one device flavour's EKV current,
+/// for lanes where the *supply* varies per die: DIBL and saturation
+/// move into the loop, but the `powf` of the specific current, the
+/// corner/tempco threshold terms and the softplus scale are shared.
+/// [`EkvTerms::vth`] and [`EkvTerms::current`] mirror
+/// [`MosfetParams::vth_effective`] and [`MosfetParams::drain_current`]
+/// term for term, so every result is bit-identical to the scalar call.
+#[derive(Debug, Clone, Copy)]
+struct EkvTerms {
+    /// `vth0 + corner shift + tempco · ΔT`, the leading terms of
+    /// [`MosfetParams::vth_effective`] in its association.
+    vth_env: f64,
+    dibl: f64,
+    /// `2 n U_T`, the softplus argument scale.
+    denom: f64,
+    /// Temperature-adjusted specific current.
+    spec: f64,
+}
+
+impl EkvTerms {
+    fn new(p: &MosfetParams, env: Environment, ut: f64) -> EkvTerms {
+        let dt = env.temperature.value() - nominal_temperature().value();
+        EkvTerms {
+            vth_env: p.vth0.volts()
+                + p.device.corner_vth_shift(env.corner).volts()
+                + p.vth_tempco * dt,
+            dibl: p.dibl,
+            denom: 2.0 * p.slope_factor * ut,
+            spec: p.spec_current_at(env.temperature).value(),
+        }
+    }
+
+    /// Effective threshold at drain bias `vds` with a local ΔVth.
+    #[inline]
+    fn vth(&self, vds: f64, local: f64) -> f64 {
+        self.vth_env - self.dibl * vds.abs() + local
+    }
+
+    /// Drain current at gate drive `vgs` for a threshold from
+    /// [`EkvTerms::vth`] and a saturation factor from
+    /// [`EkvPerSupply::saturation`].
+    #[inline]
+    fn current(&self, vgs: f64, vth: f64, sat: f64) -> f64 {
+        let soft = softplus((vgs - vth) / self.denom);
+        self.spec * soft * soft * sat
+    }
+}
+
+/// Both flavours' [`EkvTerms`] at one environment, plus the thermal
+/// voltage the per-die saturation factor needs.
+#[derive(Debug, Clone, Copy)]
+struct EkvPerSupply {
+    ut: f64,
+    n: EkvTerms,
+    p: EkvTerms,
+}
+
+impl EkvPerSupply {
+    fn new(tech: &Technology, env: Environment) -> EkvPerSupply {
+        let ut = thermal_voltage(env.temperature).volts();
+        EkvPerSupply {
+            ut,
+            n: EkvTerms::new(&tech.nmos, env, ut),
+            p: EkvTerms::new(&tech.pmos, env, ut),
+        }
+    }
+
+    /// `1 − exp(−|Vds|/U_T)` at `Vds = v`: one `exp` shared by the on
+    /// and off currents of both flavours.
+    #[inline]
+    fn saturation(&self, v: f64) -> f64 {
+        1.0 - (-v.abs() / self.ut).exp()
+    }
+
+    /// One die's nMOS and pMOS on-currents at supply `v`.
+    #[inline]
+    fn on_currents(&self, v: f64, m: GateMismatch) -> (f64, f64) {
+        let sat = self.saturation(v);
+        (
+            self.n.current(v, self.n.vth(v, m.nmos_dvth.volts()), sat),
+            self.p.current(v, self.p.vth(v, m.pmos_dvth.volts()), sat),
+        )
     }
 }
 
@@ -723,64 +889,113 @@ impl DeviceEval for AnalyticEval {
         fanout: f64,
         out: &mut [Option<(Seconds, Seconds)>],
     ) {
-        assert_eq!(
-            vdds.len(),
-            mismatches.len(),
-            "supply lane length must match the mismatch lane"
-        );
-        assert_eq!(
-            vdds.len(),
-            out.len(),
-            "lane output length must match the supply lane"
-        );
-        // With a per-die supply the DIBL and saturation terms are
-        // per-die too, so the loop stays scalar — but the
-        // temperature-only hoists (the `powf` of the specific current,
-        // the tempco/corner threshold terms, the softplus scale) still
-        // come out, and they dominate the die-independent cost.
-        let ut = thermal_voltage(env.temperature).volts();
-        let dt = env.temperature.value() - nominal_temperature().value();
-        let nmos = &self.tech.nmos;
-        let pmos = &self.tech.pmos;
-        let spec_n = nmos.spec_current_at(env.temperature).value();
-        let spec_p = pmos.spec_current_at(env.temperature).value();
-        let vth_n0 = nmos.vth0.volts()
-            + nmos.device.corner_vth_shift(env.corner).volts()
-            + nmos.vth_tempco * dt;
-        let vth_p0 = pmos.vth0.volts()
-            + pmos.device.corner_vth_shift(env.corner).volts()
-            + pmos.vth_tempco * dt;
-        let denom_n = 2.0 * nmos.slope_factor * ut;
-        let denom_p = 2.0 * pmos.slope_factor * ut;
-        let cap_a = self.tech.gate_cap.value() * kinds.0.cap_factor() * fanout.max(0.0);
-        let cap_b = self.tech.gate_cap.value() * kinds.1.cap_factor() * fanout.max(0.0);
-        let dc_a = self.tech.delay_fit * cap_a;
-        let dc_b = self.tech.delay_fit * cap_b;
-        let (na, pa) = kinds.0.stack_factors();
-        let (nb, pb) = kinds.1.stack_factors();
+        assert_multi_lens(vdds.len(), mismatches.len(), out.len());
+        let ekv = EkvPerSupply::new(&self.tech, env);
+        let ka = KindSlope::new(&self.tech, kinds.0, fanout);
+        let kb = KindSlope::new(&self.tech, kinds.1, fanout);
         let mut evals = 0u64;
-        for i in 0..vdds.len() {
-            let vdd = vdds[i];
-            if !self.tech.is_operational(vdd) {
-                out[i] = None;
-                continue;
-            }
-            evals += 2;
-            let v = vdd.volts();
-            let sat = 1.0 - (-v.abs() / ut).exp();
-            let vth_n = vth_n0 - nmos.dibl * v.abs() + mismatches[i].nmos_dvth.volts();
-            let vth_p = vth_p0 - pmos.dibl * v.abs() + mismatches[i].pmos_dvth.volts();
-            let soft_n = softplus((v - vth_n) / denom_n);
-            let soft_p = softplus((v - vth_p) / denom_p);
-            let i_n = spec_n * soft_n * soft_n * sat;
-            let i_p = spec_p * soft_p * soft_p * sat;
-            let ca = dc_a * v;
-            let cb = dc_b * v;
-            let d_a = Seconds(0.5 * (ca / (i_n * na) + ca / (i_p * pa)));
-            let d_b = Seconds(0.5 * (cb / (i_n * nb) + cb / (i_p * pb)));
-            out[i] = Some((d_a, d_b));
+        for ((vdd, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = if self.tech.is_operational(*vdd) {
+                evals += 2;
+                let v = vdd.volts();
+                let (i_n, i_p) = ekv.on_currents(v, *m);
+                Some((ka.delay(v, i_n, i_p), kb.delay(v, i_n, i_p)))
+            } else {
+                None
+            };
         }
         metrics::record_analytic_delays(evals);
+    }
+
+    fn gate_delay_multi(
+        &self,
+        kind: GateKind,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        fanout: f64,
+        out: &mut [Option<Seconds>],
+    ) {
+        assert_multi_lens(vdds.len(), mismatches.len(), out.len());
+        let ekv = EkvPerSupply::new(&self.tech, env);
+        let k = KindSlope::new(&self.tech, kind, fanout);
+        let mut evals = 0u64;
+        for ((vdd, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = if self.tech.is_operational(*vdd) {
+                evals += 1;
+                let v = vdd.volts();
+                let (i_n, i_p) = ekv.on_currents(v, *m);
+                Some(k.delay(v, i_n, i_p))
+            } else {
+                None
+            };
+        }
+        metrics::record_analytic_delays(evals);
+    }
+
+    fn energy_multi(
+        &self,
+        profile: &CircuitProfile,
+        vdds: &[Volts],
+        env: Environment,
+        out: &mut [Option<EnergyBreakdown>],
+    ) {
+        assert_energy_lens(vdds.len(), out.len());
+        // `energy_per_cycle` term for term: its nominal-mismatch,
+        // fanout-1 gate delay, then the switched and leaked energy,
+        // with every supply-free product hoisted. The on and off
+        // currents share one threshold and one saturation factor per
+        // die (the scalar path computes them identically four times).
+        let ekv = EkvPerSupply::new(&self.tech, env);
+        let k = KindSlope::new(&self.tech, profile.gate, 1.0);
+        let scales = profile.corner_cal.scales(env.corner);
+        let cap = self.tech.gate_cap.value()
+            * profile.gate.cap_factor()
+            * profile.gates
+            * profile.activity
+            * profile.cap_scale
+            * scales.cap;
+        let leak_factor = profile.gate.leak_factor();
+        let mut evals = 0u64;
+        for (vdd, o) in vdds.iter().zip(out.iter_mut()) {
+            if !self.tech.is_operational(*vdd) {
+                *o = None;
+                continue;
+            }
+            evals += 1;
+            let v = vdd.volts();
+            let sat = ekv.saturation(v);
+            let vth_n = ekv.n.vth(v, 0.0);
+            let vth_p = ekv.p.vth(v, 0.0);
+            let gate_delay = k.delay(
+                v,
+                ekv.n.current(v, vth_n, sat),
+                ekv.p.current(v, vth_p, sat),
+            );
+            let cycle_time = gate_delay * profile.depth;
+            let dynamic = Joules(cap * v * v);
+            let off_n = ekv.n.current(0.0, vth_n, sat);
+            let off_p = ekv.p.current(0.0, vth_p, sat);
+            let leak_current = Amps(
+                0.5 * (off_n + off_p)
+                    * profile.gates
+                    * leak_factor
+                    * profile.leak_scale
+                    * scales.leak,
+            );
+            let leakage = Joules(leak_current.value() * v * cycle_time.value());
+            *o = Some(EnergyBreakdown {
+                vdd: *vdd,
+                dynamic,
+                leakage,
+                cycle_time,
+                leak_current,
+            });
+        }
+        // Each scalar `energy_per_cycle` times one analytic gate delay
+        // and prices one energy.
+        metrics::record_analytic_delays(evals);
+        metrics::record_analytic_energies(evals);
     }
 }
 
@@ -1077,10 +1292,7 @@ impl TabulatedEval {
         i_on_n: f64,
         i_on_p: f64,
     ) -> Seconds {
-        let cap = self.tech.gate_cap.value() * kind.cap_factor() * fanout.max(0.0);
-        let (n_stack, p_stack) = kind.stack_factors();
-        let charge = self.tech.delay_fit * cap * vdd.volts();
-        Seconds(0.5 * (charge / (i_on_n * n_stack) + charge / (i_on_p * p_stack)))
+        KindSlope::new(&self.tech, kind, fanout).delay(vdd.volts(), i_on_n, i_on_p)
     }
 }
 
@@ -1402,6 +1614,15 @@ fn delay_key(
     )
 }
 
+fn energy_key(profile: &CircuitProfile, vdd: Volts, env: Environment) -> EnergyKey {
+    (
+        profile as *const CircuitProfile as usize,
+        vdd.volts().to_bits(),
+        corner_index(env.corner),
+        env.temperature.value().to_bits(),
+    )
+}
+
 fn kind_index(kind: GateKind) -> u8 {
     match kind {
         GateKind::Inverter => 0,
@@ -1440,10 +1661,17 @@ impl CacheSource<'_> {
 /// delays dozens of times) are answered from a hash map keyed on the
 /// exact query bits.
 ///
-/// Use one instance per die/controller so the internal mutex is
-/// uncontended and the working set stays small. Errors pass through
-/// uncached. Energy queries are keyed on the profile's *address*; only
-/// use them with profiles that outlive the cache.
+/// Keep an instance short-lived and single-threaded so the internal
+/// mutex is uncontended and the working set stays small: the scalar
+/// scoring path uses one per die, the matrix engine one per supply
+/// group per sub-batch. Errors pass through uncached. Energy queries
+/// are keyed on the profile's *address*; only use them with profiles
+/// that outlive the cache.
+///
+/// [`DeviceEval::energy_multi`] keeps the scalar loop's accounting:
+/// a lane element is a cache hit exactly when an earlier query with
+/// the same key returned `Ok` — already in the map, or earlier in the
+/// same lane — and the misses reach the inner evaluator as one lane.
 pub struct CachedEval<'a> {
     source: CacheSource<'a>,
     delay: Mutex<HashMap<DelayKey, f64>>,
@@ -1549,12 +1777,7 @@ impl DeviceEval for CachedEval<'_> {
         vdd: Volts,
         env: Environment,
     ) -> Result<EnergyBreakdown, SupplyRangeError> {
-        let key: EnergyKey = (
-            profile as *const CircuitProfile as usize,
-            vdd.volts().to_bits(),
-            corner_index(env.corner),
-            env.temperature.value().to_bits(),
-        );
+        let key = energy_key(profile, vdd, env);
         if let Some(&e) = self.energy.lock().expect("energy cache poisoned").get(&key) {
             metrics::record_cache_hit();
             return Ok(e);
@@ -1565,6 +1788,69 @@ impl DeviceEval for CachedEval<'_> {
             .expect("energy cache poisoned")
             .insert(key, e);
         Ok(e)
+    }
+
+    fn energy_multi(
+        &self,
+        profile: &CircuitProfile,
+        vdds: &[Volts],
+        env: Environment,
+        out: &mut [Option<EnergyBreakdown>],
+    ) {
+        assert_energy_lens(vdds.len(), out.len());
+        // The scalar loop's accounting, lane-wide: a die hits when an
+        // earlier query with its key returned `Ok` — a memo entry or an
+        // earlier die of this lane. The first miss of each key goes to
+        // the inner evaluator in one lane; its repeats wait on that
+        // answer.
+        let mut misses: Vec<(u64, usize)> = Vec::new(); // (vdd bits, die)
+        let mut hits = 0u64;
+        {
+            let map = self.energy.lock().expect("energy cache poisoned");
+            for (i, (&vdd, o)) in vdds.iter().zip(out.iter_mut()).enumerate() {
+                *o = map.get(&energy_key(profile, vdd, env)).copied();
+                match o {
+                    Some(_) => hits += 1,
+                    None => misses.push((vdd.volts().to_bits(), i)),
+                }
+            }
+        }
+        // Sorted, each key's run of misses starts at its earliest die.
+        misses.sort_unstable();
+        let mut firsts: Vec<usize> = Vec::with_capacity(misses.len());
+        let mut repeats: Vec<(usize, usize)> = Vec::new(); // (die, its key's first die)
+        for &(bits, i) in &misses {
+            match firsts.last() {
+                Some(&f) if vdds[f].volts().to_bits() == bits => repeats.push((i, f)),
+                _ => firsts.push(i),
+            }
+        }
+        let lane: Vec<Volts> = firsts.iter().map(|&i| vdds[i]).collect();
+        let mut answers = vec![None; firsts.len()];
+        self.source
+            .get()
+            .energy_multi(profile, &lane, env, &mut answers);
+        for (&i, e) in firsts.iter().zip(answers) {
+            out[i] = e;
+        }
+        // A repeat of an `Ok` key hits. A repeat of an error stays
+        // `None` uncounted: the only error is a below-floor supply,
+        // which the scalar loop re-queries without effect.
+        for &(i, f) in &repeats {
+            if let Some(e) = out[f] {
+                out[i] = Some(e);
+                hits += 1;
+            }
+        }
+        metrics::record_cache_hits(hits);
+        if !firsts.is_empty() {
+            let mut map = self.energy.lock().expect("energy cache poisoned");
+            for &f in &firsts {
+                if let Some(e) = out[f] {
+                    map.insert(energy_key(profile, vdds[f], env), e);
+                }
+            }
+        }
     }
 }
 
@@ -1833,6 +2119,119 @@ mod tests {
                             );
                         }
                         (got, want) => panic!("{eval:?} die {i}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A per-die supply lane of any length: points below, at and just
+    /// above the functional floor, through the subthreshold range, past
+    /// the tabulated grid's top edge, with repeats once the pool wraps.
+    fn multi_supplies(tech: &Technology, len: usize) -> Vec<Volts> {
+        let floor = tech.min_vdd.volts();
+        let pool = [
+            floor - 1e-3,
+            floor,
+            floor + 1e-4,
+            0.2063,
+            0.05,
+            0.3111,
+            0.45,
+            0.8,
+            1.3,
+            floor - 0.03,
+            0.2500001,
+        ];
+        (0..len).map(|i| Volts(pool[i % pool.len()])).collect()
+    }
+
+    /// A mismatch lane of any length, with one draw far off the ΔVth
+    /// grid to force the tabulated per-die fallback.
+    fn multi_mismatches(len: usize) -> Vec<GateMismatch> {
+        let draws = [
+            (0.0, 0.0),
+            (0.013, -0.021),
+            (-0.008, 0.004),
+            (0.5, 0.0),
+            (0.0302, -0.0298),
+            (-0.0154, 0.0067),
+            (0.0021, 0.0035),
+        ];
+        (0..len)
+            .map(|i| {
+                let (n, p) = draws[i % draws.len()];
+                GateMismatch {
+                    nmos_dvth: Volts(n),
+                    pmos_dvth: Volts(p),
+                }
+            })
+            .collect()
+    }
+
+    fn energy_bits(e: &EnergyBreakdown) -> [u64; 5] {
+        [
+            e.vdd.volts().to_bits(),
+            e.dynamic.value().to_bits(),
+            e.leakage.value().to_bits(),
+            e.cycle_time.value().to_bits(),
+            e.leak_current.value().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn per_die_supply_lanes_are_bit_identical_to_scalar_calls() {
+        let tech = tech();
+        let analytic = AnalyticEval::new(&tech);
+        let tabulated = TabulatedEval::new(&tech);
+        // The memo wrappers live across every lane below, so later
+        // lanes are served partly from entries earlier lanes left; each
+        // is checked against its *uncached* inner evaluator.
+        let cached_analytic = CachedEval::new(&analytic);
+        let cached_tabulated = CachedEval::new(&tabulated);
+        let cases: [(&dyn DeviceEval, &dyn DeviceEval); 4] = [
+            (&analytic, &analytic),
+            (&tabulated, &tabulated),
+            (&cached_analytic, &analytic),
+            (&cached_tabulated, &tabulated),
+        ];
+        let profile = CircuitProfile::ring_oscillator();
+        for (eval, reference) in cases {
+            for corner in ProcessCorner::ALL {
+                for celsius in [-55.0, 25.0, 150.0] {
+                    let env = Environment::at_corner(corner).with_celsius(celsius);
+                    for len in 0..=33 {
+                        let vdds = multi_supplies(&tech, len);
+                        let mms = multi_mismatches(len);
+                        let at = format!("{eval:?} {corner} {celsius}C len={len}");
+                        for (kind, fanout) in [
+                            (GateKind::Nand2, 1.0),
+                            (GateKind::Inverter, 2.5),
+                            (GateKind::Nor2, 1.0),
+                        ] {
+                            let mut delays = vec![None; len];
+                            eval.gate_delay_multi(kind, &vdds, env, &mms, fanout, &mut delays);
+                            for i in 0..len {
+                                let want = reference
+                                    .gate_delay(kind, vdds[i], env, mms[i], fanout)
+                                    .ok();
+                                assert_eq!(
+                                    delays[i].map(|d| d.value().to_bits()),
+                                    want.map(|d| d.value().to_bits()),
+                                    "{at} {kind:?} die {i}"
+                                );
+                            }
+                        }
+                        let mut energies = vec![None; len];
+                        eval.energy_multi(&profile, &vdds, env, &mut energies);
+                        for i in 0..len {
+                            let want = reference.energy(&profile, vdds[i], env).ok();
+                            assert_eq!(
+                                energies[i].as_ref().map(energy_bits),
+                                want.as_ref().map(energy_bits),
+                                "{at} energy die {i}"
+                            );
+                        }
                     }
                 }
             }

@@ -173,6 +173,21 @@ impl CircuitLoad for RingOscillator {
         }
         Ok(())
     }
+
+    fn critical_path_multi(
+        &self,
+        eval: &dyn DeviceEval,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        out: &mut [Option<Seconds>],
+    ) {
+        // As `critical_path_lane`, with the supply per die.
+        eval.gate_delay_multi(GateKind::Nand2, vdds, env, mismatches, 1.0, out);
+        for t in out.iter_mut().flatten() {
+            *t = *t * self.profile.depth;
+        }
+    }
 }
 
 #[cfg(test)]

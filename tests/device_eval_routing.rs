@@ -9,8 +9,9 @@ use subvt::prelude::*;
 use subvt_device::{EnergyBreakdown, SupplyRangeError};
 
 /// Wraps the analytic model and counts the delay and energy queries
-/// that reach it. The pair and lane shapes keep the trait defaults, so
-/// they are counted per gate through `gate_delay`.
+/// that reach it. The pair, lane and per-die-supply shapes keep the
+/// trait defaults, so they are counted per query through `gate_delay`
+/// and `energy`.
 #[derive(Debug)]
 struct Recorder {
     inner: AnalyticEval,
@@ -112,6 +113,28 @@ fn every_load_times_its_critical_path_on_the_given_evaluator() {
             rec.energies.load(Ordering::Relaxed),
             before + 1,
             "{name}: energy bypassed the evaluator"
+        );
+        // The per-die-supply lanes of the dithered check.
+        let mut multi = [None; 2];
+        load.critical_path_multi(
+            &rec,
+            &[Volts(0.3); 2],
+            env,
+            &[GateMismatch::NOMINAL; 2],
+            &mut multi,
+        );
+        assert!(
+            rec.take_delays() >= 2,
+            "{name}: per-die-supply lane bypassed the evaluator"
+        );
+        assert_eq!(multi, [Some(direct); 2], "{name}");
+        let before = rec.energies.load(Ordering::Relaxed);
+        let mut energies = [None; 2];
+        load.energy_per_op_multi(&rec, &[Volts(0.3); 2], env, &mut energies);
+        assert_eq!(
+            rec.energies.load(Ordering::Relaxed),
+            before + 2,
+            "{name}: per-die-supply energy lane bypassed the evaluator"
         );
     }
 }

@@ -197,3 +197,41 @@ fn boot_retries_then_fails_rather_than_handing_over_a_bad_chip() {
     assert_eq!(state, BootState::Failed);
     assert!(!boot.is_ready());
 }
+
+#[test]
+fn out_of_domain_temperatures_are_typed_study_errors_not_panics() {
+    use subvt_core::matrix::StudyMatrix;
+    use subvt_core::study::StudyError;
+    use subvt_device::SUPPORTED_CELSIUS;
+
+    let is_range_error = |r: Result<(), StudyError>| matches!(r, Err(StudyError::Environment(e)) if !SUPPORTED_CELSIUS.contains(&e.celsius));
+    for celsius in [-300.0, f64::NAN, 151.0] {
+        let env = Environment::at_celsius(celsius);
+        let study = StudyConfig::new(40, 1).env(env);
+        let summary = study.try_run_summary().map(drop);
+        assert!(
+            is_range_error(summary),
+            "summary at {celsius} °C: not a typed range error"
+        );
+        let faults = study.try_run_faults().map(drop);
+        assert!(
+            is_range_error(faults),
+            "fault study at {celsius} °C: not a typed range error"
+        );
+        // One bad cell in an otherwise valid matrix fails the matrix.
+        let matrix = StudyMatrix::new(StudyConfig::new(40, 1))
+            .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
+            .cell(SupplyBackendKind::Buck, env, None)
+            .try_run()
+            .map(drop);
+        assert!(
+            is_range_error(matrix),
+            "matrix cell at {celsius} °C: not a typed range error"
+        );
+    }
+    // The domain's edges still run.
+    for celsius in [-55.0, 150.0] {
+        let env = Environment::at_celsius(celsius);
+        assert!(StudyConfig::new(8, 1).env(env).try_run_summary().is_ok());
+    }
+}
