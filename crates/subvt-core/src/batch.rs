@@ -131,6 +131,56 @@ fn lane_passes(
     energy
 }
 
+/// Gather/scatter scratch for spec-checking dies at per-die commanded
+/// words: one [`lane_passes`] per distinct word, so each word costs one
+/// grid resolution and one energy evaluation.
+#[derive(Default)]
+pub(crate) struct WordLanes {
+    idx: Vec<usize>,
+    mm: Vec<GateMismatch>,
+    t: Vec<Seconds>,
+    pass: Vec<bool>,
+}
+
+impl WordLanes {
+    /// Writes `pass[k]` and `energy[k]` for die `k` commanded at
+    /// `words[k]` with mismatch `mismatches[k]` — die by die the
+    /// [`StudyContext::passes`] quantity.
+    pub(crate) fn score(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        energy_eval: &dyn DeviceEval,
+        words: &[VoltageWord],
+        mismatches: &[GateMismatch],
+        pass: &mut [bool],
+        energy: &mut [Joules],
+    ) {
+        let mut remaining = words.len();
+        let mut word = 0usize;
+        while remaining > 0 && word < 64 {
+            let w = word as VoltageWord;
+            word += 1;
+            self.idx.clear();
+            self.idx.extend((0..words.len()).filter(|&k| words[k] == w));
+            if self.idx.is_empty() {
+                continue;
+            }
+            remaining -= self.idx.len();
+            self.mm.clear();
+            self.mm.extend(self.idx.iter().map(|&k| mismatches[k]));
+            self.t.clear();
+            self.t.resize(self.idx.len(), Seconds(0.0));
+            self.pass.clear();
+            self.pass.resize(self.idx.len(), false);
+            let e = lane_passes(ctx, energy_eval, w, &self.mm, &mut self.t, &mut self.pass);
+            for (j, &k) in self.idx.iter().enumerate() {
+                pass[k] = self.pass[j];
+                energy[k] = e;
+            }
+        }
+    }
+}
+
 /// Reusable SoA scratch for one sub-batch of dies. All arrays are
 /// bounded by the sub-batch size, so a million-die study's working set
 /// stays `O(jobs × batch)`, never `O(dies)`.
@@ -149,11 +199,11 @@ pub(crate) struct DieBatch {
     adaptive_pass: Vec<bool>,
     adaptive_energy: Vec<Joules>,
     dithered_pass: Vec<bool>,
-    // Gather/scatter scratch for the by-settled-word adaptive lanes.
+    // The by-settled-word adaptive lanes.
+    word_lanes: WordLanes,
+    // Gather scratch for the lockstep settle cohorts.
     group_idx: Vec<usize>,
     group_mm: Vec<GateMismatch>,
-    group_t: Vec<Seconds>,
-    group_pass: Vec<bool>,
     // Lockstep-settle scratch: the dies still walking, their next
     // round, and the per-die sense results and dither voltages.
     active: Vec<usize>,
@@ -182,10 +232,9 @@ impl DieBatch {
             adaptive_pass: Vec::with_capacity(batch),
             adaptive_energy: Vec::with_capacity(batch),
             dithered_pass: Vec::with_capacity(batch),
+            word_lanes: WordLanes::default(),
             group_idx: Vec::with_capacity(batch),
             group_mm: Vec::with_capacity(batch),
-            group_t: Vec::with_capacity(batch),
-            group_pass: Vec::with_capacity(batch),
             active: Vec::with_capacity(batch),
             next_active: Vec::with_capacity(batch),
             round_words: Vec::with_capacity(batch),
@@ -340,39 +389,14 @@ impl DieBatch {
     /// grid resolution and one energy evaluation per distinct word.
     /// Depends on the corner and the supply.
     pub(crate) fn adaptive_lanes(&mut self, ctx: &StudyContext<'_>, cached: &dyn DeviceEval) {
-        let n = self.len();
-        let mut remaining = n;
-        let mut word = 0usize;
-        while remaining > 0 && word < 64 {
-            let w = word as VoltageWord;
-            self.group_idx.clear();
-            self.group_idx
-                .extend((0..n).filter(|&k| self.words[k] == w));
-            word += 1;
-            if self.group_idx.is_empty() {
-                continue;
-            }
-            remaining -= self.group_idx.len();
-            self.group_mm.clear();
-            self.group_mm
-                .extend(self.group_idx.iter().map(|&k| self.mismatches[k]));
-            self.group_t.clear();
-            self.group_t.resize(self.group_idx.len(), Seconds(0.0));
-            self.group_pass.clear();
-            self.group_pass.resize(self.group_idx.len(), false);
-            let energy = lane_passes(
-                ctx,
-                cached,
-                w,
-                &self.group_mm,
-                &mut self.group_t,
-                &mut self.group_pass,
-            );
-            for (j, &k) in self.group_idx.iter().enumerate() {
-                self.adaptive_pass[k] = self.group_pass[j];
-                self.adaptive_energy[k] = energy;
-            }
-        }
+        self.word_lanes.score(
+            ctx,
+            cached,
+            &self.words,
+            &self.mismatches,
+            &mut self.adaptive_pass,
+            &mut self.adaptive_energy,
+        );
     }
 
     /// Phase E (walk): the sub-LSB dither settle, in lockstep — every

@@ -1,7 +1,7 @@
 //! Fault-injection Monte-Carlo: yield, MEP-tracking error and recovery
 //! cost under loop-hardware faults, with and without mitigation.
 //!
-//! [`score_faulted_die`] replays the compensation walk of
+//! A [`WalkState`] replays the compensation walk of
 //! `StudyContext::score_die` cycle-by-cycle so per-cycle faults from a
 //! [`FaultSchedule`] can land on it:
 //!
@@ -21,6 +21,10 @@
 //! converter reference register. Every recovery action books energy in
 //! the die's recovery line item.
 //!
+//! The scalar reference [`score_faulted_die`] drives one die's walk;
+//! the matrix engine's [`FaultLanes`] drives a sub-batch of them in
+//! lockstep rounds, sampling each round's captures as one sensor lane.
+//!
 //! Determinism: the fault stream is forked from the die stream *after*
 //! die sampling, so a clean die consumes exactly the draws the plain
 //! path does — a zero-rate plan is byte-identical to no plan at all,
@@ -31,14 +35,15 @@ use subvt_dcdc::disturbance::{comparator_glitch_droop, missed_edge_droop};
 use subvt_device::delay::GateMismatch;
 use subvt_device::tabulate::{CachedEval, DeviceEval};
 use subvt_device::units::{Amps, Joules, Volts};
-use subvt_digital::encoder::QuantizerWord;
+use subvt_digital::encoder::{EncodeError, QuantizerWord};
 use subvt_digital::lut::VoltageWord;
 use subvt_exec::checkpoint::{CheckpointError, StateReader, StateWriter};
 use subvt_exec::Welford;
-use subvt_faults::{CtrlFault, DcdcFault, FaultPlan, FaultSchedule};
+use subvt_faults::{CtrlFault, CycleFaults, DcdcFault, FaultPlan, FaultSchedule};
 use subvt_rng::{Rng, StdRng};
 use subvt_tdc::sensor::{word_voltage, SenseError};
 
+use crate::batch::{DieBatch, WordLanes};
 use crate::compensation::SignatureDebounce;
 use crate::watchdog::{RailWatchdog, WatchdogPolicy};
 use crate::yield_study::{
@@ -49,7 +54,7 @@ use crate::yield_study::{
 /// walk needs at most 8 steps; 24 cycles leave room for debounce holds
 /// and watchdog backoff while keeping every fault episode inside the
 /// scored window.
-const FAULT_CYCLES: u32 = 24;
+pub(crate) const FAULT_CYCLES: u32 = 24;
 
 /// Walk steps the loop may take — the same bound as the plain settling
 /// loop, so a clean die ends on the identical word.
@@ -193,10 +198,10 @@ impl FaultStudySummary {
 /// Decodes a (possibly corrupted) capture against the design band; the
 /// band was already validated by the sample, so decode cannot fail —
 /// undecodable captures classify as far-slow, like the plain path.
-fn decode_dev(ctx: &StudyContext<'_>, sample: QuantizerWord, neighbor: i16) -> i16 {
+fn decode_dev(ctx: &StudyContext<'_>, sample: QuantizerWord) -> i16 {
     ctx.sensor
         .decode(ctx.design_word, sample)
-        .unwrap_or(-neighbor)
+        .unwrap_or(-ctx.sensor.config().neighbor_range)
 }
 
 /// Majority vote over the three redundant captures; ties keep the
@@ -223,16 +228,14 @@ fn walk_step(word: &mut VoltageWord, dev: i16, budget: &mut u32) {
 }
 
 /// The clean (fault-free) reference pieces of one die's fault scoring:
-/// everything the faulted walk needs that does not depend on the fault
-/// stream. The scalar path derives them per die; the matrix path hands
-/// in the SoA lane results, which are bit-identical by the batch
+/// everything its outcome carries that does not depend on the fault
+/// stream. The scalar path derives them per die; the matrix path takes
+/// the SoA lane results, which are bit-identical by the batch
 /// equivalence contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CleanDie {
     /// The die's global-corner position (σ units).
     pub corner_units: f64,
-    /// The die's mean gate mismatch.
-    pub mismatch: GateMismatch,
     /// Fixed-design spec check at the common commanded word.
     pub fixed_passes: bool,
     /// The word the clean compensation walk settles on.
@@ -264,7 +267,10 @@ pub(crate) fn fault_droops(ctx: &StudyContext<'_>) -> (Volts, Volts) {
 
 /// Scores one die with fault injection: the clean reference pieces
 /// (fixed, dithered, clean settled word) plus a cycle-by-cycle faulted
-/// compensation walk. Pure function of the context, plan and stream.
+/// compensation walk, each capture sampled on its own and the final
+/// spec check evaluated per die. Pure function of the context, plan and
+/// stream — the scalar reference the lockstep [`FaultLanes`] is pinned
+/// against.
 pub(crate) fn score_faulted_die(
     ctx: &StudyContext<'_>,
     plan: FaultPlan,
@@ -275,7 +281,7 @@ pub(crate) fn score_faulted_die(
     let mismatch = die.mean_gate();
     // Fork the fault stream only after the die sample: a clean die
     // consumes exactly the draws the plain path does.
-    let fault_rng = die_rng.fork("faults");
+    let mut schedule = FaultSchedule::new(plan, die_rng.fork("faults"));
 
     // Clean reference pieces, identical to the plain score_die.
     let (fixed_passes, _) = ctx.passes(cached, ctx.fixed_word, mismatch);
@@ -283,87 +289,168 @@ pub(crate) fn score_faulted_die(
     let dithered_v =
         settled_voltage_dithered(cached, &ctx.sensor, ctx.design_word, ctx.env, mismatch);
     let (dithered_passes, _) = ctx.passes_dithered(cached, dithered_v, mismatch);
-
     let clean = CleanDie {
         corner_units: die.corner_units(),
-        mismatch,
         fixed_passes,
         clean_word,
         dithered_passes,
     };
-    faulted_walk(ctx, plan, fault_rng, cached, fault_droops(ctx), &clean)
+
+    let droops = fault_droops(ctx);
+    let mut walk = WalkState::new(ctx, plan);
+    for _ in 0..FAULT_CYCLES {
+        let miss = walk.start(schedule.draw(), droops).map(|v_rail| {
+            ctx.sensor
+                .sample_with(cached, ctx.design_word, v_rail, ctx.env, mismatch)
+        });
+        walk.finish(ctx, miss.as_ref());
+    }
+    let adaptive = ctx.passes(cached, walk.score_word(), mismatch);
+    walk.outcome(&clean, adaptive)
 }
 
-/// A memoized raw TDC capture (see the capture memo in
-/// [`faulted_walk`]): the sensed word, or which sense error the sensor
-/// returned — enough to replay the walk's handling of it exactly.
-#[derive(Clone, Copy)]
+/// A memoized raw TDC capture (see [`WalkState`]'s capture memo): the
+/// sensed word with its decoded clean deviation, or which sense error
+/// the sensor returned — enough to replay the walk's handling of it
+/// exactly.
+#[derive(Debug, Clone, Copy)]
 enum Capture {
-    Raw(QuantizerWord),
+    Raw { raw: QuantizerWord, dev: i16 },
     Unreliable,
     BandUnusable,
 }
 
-/// The cycle-by-cycle faulted compensation walk over precomputed clean
-/// reference pieces — the fault-stream-dependent tail of
-/// [`score_faulted_die`], with identical arithmetic. `droops` must
-/// be [`fault_droops`] of the same context (hoisted by the matrix
-/// path).
-pub(crate) fn faulted_walk(
-    ctx: &StudyContext<'_>,
-    plan: FaultPlan,
-    fault_rng: StdRng,
-    cached: &dyn DeviceEval,
-    droops: (Volts, Volts),
-    clean: &CleanDie,
-) -> FaultDieOutcome {
-    let mismatch = clean.mismatch;
-    let mut schedule = FaultSchedule::new(plan, fault_rng);
-    let neighbor = ctx.sensor.config().neighbor_range;
-    let (glitch_droop, missed_droop) = droops;
+impl Capture {
+    /// Classifies one raw sample, decoding a clean word once: every
+    /// cycle that replays it uncorrupted reuses the deviation, and only
+    /// a TDC-faulted copy is decoded again.
+    fn new(ctx: &StudyContext<'_>, sample: &Result<QuantizerWord, SenseError>) -> Capture {
+        match sample {
+            Ok(raw) => Capture::Raw {
+                raw: *raw,
+                dev: decode_dev(ctx, *raw),
+            },
+            Err(SenseError::BandUnusable { .. }) => Capture::BandUnusable,
+            Err(SenseError::Unreliable(_)) => Capture::Unreliable,
+        }
+    }
+}
 
-    let mut word = ctx.design_word; // the LUT word register
-    let mut ref_seu: VoltageWord = 0; // persistent reference-register upset
-    let mut budget = WALK_BUDGET;
-    let mut blind = false; // design band unusable: loop holds (plain-path break)
-    let mut recovery = Joules(0.0);
-    let mut trips = 0u32;
-    let mut injected = 0u64;
-    let mut debounce = SignatureDebounce::new(2);
-    let mut dog = RailWatchdog::new(WatchdogPolicy::default());
-    let mut last_dev: i16 = 0;
+/// What the cycle in flight senses, as decided by [`WalkState::start`].
+#[derive(Debug, Clone, Copy)]
+enum Sensing {
+    /// Nothing: the design band is unusable and the loop holds.
+    Blind,
+    /// The rail collapsed to shutdown: the capture is empty.
+    Collapsed,
+    /// A capture the memo already holds.
+    Memo(Capture),
+    /// A memo miss at this `(effective word, droop bits)` key: the
+    /// caller samples the rail and hands the word to
+    /// [`WalkState::finish`].
+    Miss((VoltageWord, u64)),
+}
 
-    // Raw-capture memo: within one die the capture is a pure function
-    // of (effective word, droop) — band, environment and mismatch are
-    // fixed — and the walk revisits the same few operating points
-    // across its 24 cycles. The sensor clones its delay line and
-    // re-evaluates every gate per sample, so replaying a cached
-    // capture removes the walk's dominant cost without touching a bit
-    // (per-cycle TDC faults are applied downstream of the raw word).
-    let mut captures: Vec<((VoltageWord, u64), Capture)> = Vec::with_capacity(4);
+/// One die's cycle-by-cycle faulted compensation walk, as a state
+/// machine with two steps per cycle: [`WalkState::start`] lands the
+/// cycle's controller and converter faults and names the rail the
+/// cycle must sample (if the capture memo misses), and
+/// [`WalkState::finish`] senses, votes, debounces and walks once it
+/// holds the capture. The scalar reference ([`score_faulted_die`])
+/// samples each miss on its own; the matrix engine ([`FaultLanes`])
+/// advances a whole sub-batch in lockstep and samples a round's misses
+/// as one lane. Both drive this one machine, so the walk exists once.
+#[derive(Debug)]
+pub(crate) struct WalkState {
+    mitigation: bool,
+    neighbor: i16,
+    /// The LUT word register.
+    word: VoltageWord,
+    /// Persistent reference-register upset.
+    ref_seu: VoltageWord,
+    budget: u32,
+    /// Design band unusable: the loop holds (the plain path's break).
+    blind: bool,
+    recovery: Joules,
+    trips: u32,
+    injected: u64,
+    debounce: SignatureDebounce,
+    dog: RailWatchdog,
+    last_dev: i16,
+    /// Raw-capture memo: within one die the capture is a pure function
+    /// of (effective word, droop) — band, environment and mismatch are
+    /// fixed — and the walk revisits the same few operating points
+    /// across its cycles, so a replayed capture skips the replica
+    /// evaluation and the clean decode. Per-cycle TDC faults are
+    /// applied downstream of the raw word, so replaying cannot change
+    /// a bit.
+    captures: Vec<((VoltageWord, u64), Capture)>,
+    /// The cycle in flight: its faults and what it senses.
+    faults: CycleFaults,
+    sensing: Sensing,
+}
 
-    for _ in 0..FAULT_CYCLES {
-        let faults = schedule.draw();
-        injected += u64::from(faults.count());
+impl WalkState {
+    /// A die at the start of its walk: the design word in the register,
+    /// no upsets, the full walk budget.
+    pub(crate) fn new(ctx: &StudyContext<'_>, plan: FaultPlan) -> WalkState {
+        WalkState {
+            mitigation: plan.mitigation,
+            neighbor: ctx.sensor.config().neighbor_range,
+            word: ctx.design_word,
+            ref_seu: 0,
+            budget: WALK_BUDGET,
+            blind: false,
+            recovery: Joules(0.0),
+            trips: 0,
+            injected: 0,
+            debounce: SignatureDebounce::new(2),
+            dog: RailWatchdog::new(WatchdogPolicy::default()),
+            last_dev: 0,
+            captures: Vec::new(),
+            faults: CycleFaults::default(),
+            sensing: Sensing::Blind,
+        }
+    }
+
+    /// Restarts the walk for a new die, keeping the memo's allocation.
+    fn reset(&mut self, ctx: &StudyContext<'_>, plan: FaultPlan) {
+        let mut captures = std::mem::take(&mut self.captures);
+        captures.clear();
+        *self = WalkState {
+            captures,
+            ..WalkState::new(ctx, plan)
+        };
+    }
+
+    /// Starts one cycle: lands the controller fault on the commanded
+    /// word and the converter fault on the reference register and the
+    /// rail. Returns the rail voltage to sample when the capture memo
+    /// misses; `None` when the cycle needs no new sample (memo hit,
+    /// collapsed rail, blind loop). `droops` must be [`fault_droops`]
+    /// of the walk's context.
+    pub(crate) fn start(&mut self, faults: CycleFaults, droops: (Volts, Volts)) -> Option<Volts> {
+        self.injected += u64::from(faults.count());
+        self.faults = faults;
 
         // Controller-domain fault shapes this cycle's commanded word.
-        let mut cycle_word = word;
+        let mut cycle_word = self.word;
         match faults.ctrl {
             Some(CtrlFault::LutSeu { bit }) => {
-                if plan.mitigation {
+                if self.mitigation {
                     // End-of-cycle scrub repairs the register from the
                     // shadow copy: the corruption lasts one cycle.
-                    cycle_word = word ^ (1 << (bit % 6));
-                    recovery += scrub_cost();
+                    cycle_word = self.word ^ (1 << (bit % 6));
+                    self.recovery += scrub_cost();
                 } else {
-                    word ^= 1 << (bit % 6);
-                    cycle_word = word;
+                    self.word ^= 1 << (bit % 6);
+                    cycle_word = self.word;
                 }
             }
             Some(CtrlFault::FifoMisread) => {
                 // A misread occupancy commands the word of a much
                 // fuller queue for one cycle.
-                cycle_word = (i16::from(word) + 4).clamp(1, 63) as VoltageWord;
+                cycle_word = (i16::from(self.word) + 4).clamp(1, 63) as VoltageWord;
             }
             None => {}
         }
@@ -371,128 +458,320 @@ pub(crate) fn faulted_walk(
         // A reference-word SEU persists until the register is
         // rewritten (only the watchdog fallback does).
         if let Some(DcdcFault::ReferenceSeu { bit }) = faults.dcdc {
-            ref_seu ^= 1 << (bit % 6);
+            self.ref_seu ^= 1 << (bit % 6);
         }
-        let w_eff = cycle_word ^ ref_seu;
+        let w_eff = cycle_word ^ self.ref_seu;
 
-        // The rail this cycle: the effective word's voltage minus any
-        // transient converter droop.
-        let droop = match faults.dcdc {
-            Some(DcdcFault::ComparatorGlitch) => glitch_droop,
-            Some(DcdcFault::MissedPwmEdge) => missed_droop,
-            _ => Volts(0.0),
-        };
-        let v_rail = Volts((word_voltage(w_eff).volts() - droop.volts()).max(0.0));
-
-        if blind {
-            continue;
-        }
-
-        // Sense the rail against the design band.
-        let sensed: Option<(i16, bool)> = if w_eff == 0 {
-            // Rail collapsed to shutdown: the capture is empty and
-            // reads as far-slow.
-            Some((-neighbor, false))
+        self.sensing = if self.blind {
+            Sensing::Blind
+        } else if w_eff == 0 {
+            Sensing::Collapsed
         } else {
-            let key = (w_eff, droop.volts().to_bits());
-            let capture = match captures.iter().find(|(k, _)| *k == key) {
-                Some(&(_, hit)) => hit,
-                None => {
-                    let miss = match ctx.sensor.sample_with(
-                        cached,
-                        ctx.design_word,
-                        v_rail,
-                        ctx.env,
-                        mismatch,
-                    ) {
-                        Ok(raw) => Capture::Raw(raw),
-                        Err(SenseError::BandUnusable { .. }) => Capture::BandUnusable,
-                        Err(SenseError::Unreliable(_)) => Capture::Unreliable,
-                    };
-                    captures.push((key, miss));
-                    miss
-                }
+            // The rail this cycle: the effective word's voltage minus
+            // any transient converter droop.
+            let droop = match faults.dcdc {
+                Some(DcdcFault::ComparatorGlitch) => droops.0,
+                Some(DcdcFault::MissedPwmEdge) => droops.1,
+                _ => Volts(0.0),
             };
-            match capture {
-                Capture::BandUnusable => {
-                    blind = true;
-                    None
-                }
-                // An empty capture classifies as far-slow (the plain
-                // path's behaviour); there is no word for a TDC fault
-                // to corrupt.
-                Capture::Unreliable => Some((-neighbor, false)),
-                Capture::Raw(raw) => {
-                    if plan.mitigation {
-                        // Triple-sample majority vote: a one-shot TDC
-                        // fault corrupts only the first capture, a
-                        // stuck stage corrupts all three.
-                        let mut votes = [0i16; 3];
-                        for (k, v) in votes.iter_mut().enumerate() {
-                            let sample = match faults.tdc {
-                                Some(f) if k == 0 || f.is_persistent() => f.apply(raw),
-                                _ => raw,
-                            };
-                            *v = decode_dev(ctx, sample, neighbor);
-                        }
-                        let dev = majority(votes);
-                        let disagree = !(votes[0] == votes[1] && votes[1] == votes[2]);
-                        // A sudden jump from a quiet signature is
-                        // suspect until it repeats.
-                        let jump = (dev - last_dev).abs() >= 2 && last_dev.abs() <= 1;
-                        Some((dev, disagree || jump))
-                    } else {
-                        let sample = faults.tdc.map_or(raw, |f| f.apply(raw));
-                        Some((decode_dev(ctx, sample, neighbor), false))
-                    }
+            let key = (w_eff, droop.volts().to_bits());
+            match self.captures.iter().find(|(k, _)| *k == key) {
+                Some(&(_, hit)) => Sensing::Memo(hit),
+                None => {
+                    self.sensing = Sensing::Miss(key);
+                    return Some(Volts(
+                        (word_voltage(w_eff).volts() - droop.volts()).max(0.0),
+                    ));
                 }
             }
         };
-
-        if let Some((dev, suspect)) = sensed {
-            if plan.mitigation {
-                // Watchdog sees every raw deviation with the true
-                // register word; a trip falls back to last-known-good
-                // and rewrites the upset-prone registers.
-                if let Some(good) = dog.observe(word, dev) {
-                    word = good;
-                    ref_seu = 0;
-                    debounce.reset();
-                    recovery += trip_cost();
-                    trips += 1;
-                    last_dev = dev;
-                    continue;
-                }
-                if let Some(confirmed) = debounce.feed(dev, suspect) {
-                    walk_step(&mut word, confirmed, &mut budget);
-                }
-            } else {
-                walk_step(&mut word, dev, &mut budget);
-            }
-            last_dev = dev;
-        }
+        None
     }
 
-    // Score at the final effective operating point (a collapsed rail
-    // scores as the floor word, which cannot meet any rate spec).
-    let final_eff = word ^ ref_seu;
-    let score_word = final_eff.max(1);
-    let (adaptive_passes, adaptive_energy) = ctx.passes(cached, score_word, mismatch);
-    let tracking_error_lsb = f64::from((i16::from(final_eff) - i16::from(clean.clean_word)).abs());
+    /// Finishes the cycle [`WalkState::start`] opened: senses the rail
+    /// against the design band, votes and debounces (mitigation arm),
+    /// feeds the watchdog and takes the walk step. `miss` is the raw
+    /// sample of the rail `start` returned, and `None` exactly when
+    /// `start` returned `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memo miss is finished without its sample.
+    pub(crate) fn finish(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        miss: Option<&Result<QuantizerWord, SenseError>>,
+    ) {
+        let capture = match self.sensing {
+            Sensing::Blind => return,
+            // An empty capture reads as far-slow, like the plain path.
+            Sensing::Collapsed => Capture::Unreliable,
+            Sensing::Memo(hit) => hit,
+            Sensing::Miss(key) => {
+                let capture =
+                    Capture::new(ctx, miss.expect("a memo miss finishes with its sample"));
+                self.captures.push((key, capture));
+                capture
+            }
+        };
+        let (dev, suspect) = match capture {
+            Capture::BandUnusable => {
+                self.blind = true;
+                return;
+            }
+            // An empty capture classifies as far-slow (the plain
+            // path's behaviour); there is no word for a TDC fault to
+            // corrupt.
+            Capture::Unreliable => (-self.neighbor, false),
+            Capture::Raw { raw, dev } => {
+                let tdc = self.faults.tdc;
+                if self.mitigation {
+                    // Triple-sample majority vote: a one-shot TDC fault
+                    // corrupts only the first capture, a stuck stage
+                    // corrupts all three.
+                    let votes = match tdc {
+                        None => [dev; 3],
+                        Some(f) => {
+                            let hit = decode_dev(ctx, f.apply(raw));
+                            if f.is_persistent() {
+                                [hit; 3]
+                            } else {
+                                [hit, dev, dev]
+                            }
+                        }
+                    };
+                    let dev = majority(votes);
+                    let disagree = !(votes[0] == votes[1] && votes[1] == votes[2]);
+                    // A sudden jump from a quiet signature is suspect
+                    // until it repeats.
+                    let jump = (dev - self.last_dev).abs() >= 2 && self.last_dev.abs() <= 1;
+                    (dev, disagree || jump)
+                } else {
+                    (tdc.map_or(dev, |f| decode_dev(ctx, f.apply(raw))), false)
+                }
+            }
+        };
 
-    FaultDieOutcome {
-        base: DieOutcome {
-            corner_units: clean.corner_units,
-            fixed_passes: clean.fixed_passes,
-            adaptive_passes,
-            dithered_passes: clean.dithered_passes,
-            adaptive_word: final_eff,
-            adaptive_energy,
-        },
-        tracking_error_lsb,
-        recovery,
-        watchdog_trips: trips,
-        faults_injected: injected,
+        if self.mitigation {
+            // Watchdog sees every raw deviation with the true register
+            // word; a trip falls back to last-known-good and rewrites
+            // the upset-prone registers.
+            if let Some(good) = self.dog.observe(self.word, dev) {
+                self.word = good;
+                self.ref_seu = 0;
+                self.debounce.reset();
+                self.recovery += trip_cost();
+                self.trips += 1;
+                self.last_dev = dev;
+                return;
+            }
+            if let Some(confirmed) = self.debounce.feed(dev, suspect) {
+                walk_step(&mut self.word, confirmed, &mut self.budget);
+            }
+        } else {
+            walk_step(&mut self.word, dev, &mut self.budget);
+        }
+        self.last_dev = dev;
+    }
+
+    /// Whether the cycle in flight sees a collapsed rail (effective
+    /// word 0): a probe for tests that must show the branch runs.
+    #[cfg(test)]
+    pub(crate) fn rail_collapsed(&self) -> bool {
+        matches!(self.sensing, Sensing::Collapsed)
+    }
+
+    /// The word the final spec check scores: the final effective
+    /// operating point, with a collapsed rail scored as the floor word
+    /// (which cannot meet any rate spec).
+    pub(crate) fn score_word(&self) -> VoltageWord {
+        self.final_word().max(1)
+    }
+
+    fn final_word(&self) -> VoltageWord {
+        self.word ^ self.ref_seu
+    }
+
+    /// The die's outcome once the walk is over, given the final spec
+    /// check (`passes` at [`WalkState::score_word`]).
+    pub(crate) fn outcome(&self, clean: &CleanDie, adaptive: (bool, Joules)) -> FaultDieOutcome {
+        let final_eff = self.final_word();
+        let (adaptive_passes, adaptive_energy) = adaptive;
+        FaultDieOutcome {
+            base: DieOutcome {
+                corner_units: clean.corner_units,
+                fixed_passes: clean.fixed_passes,
+                adaptive_passes,
+                dithered_passes: clean.dithered_passes,
+                adaptive_word: final_eff,
+                adaptive_energy,
+            },
+            tracking_error_lsb: f64::from(
+                (i16::from(final_eff) - i16::from(clean.clean_word)).abs(),
+            ),
+            recovery: self.recovery,
+            watchdog_trips: self.trips,
+            faults_injected: self.injected,
+        }
+    }
+}
+
+/// Reusable scratch for the matrix engine's fault cells: one sub-batch
+/// of dies walked in lockstep rounds. Every round each die draws its
+/// next cycle from its own [`FaultSchedule`] (so every stream is
+/// consumed in unchanged order) and starts its [`WalkState`] cycle; the
+/// round's capture-memo misses are sampled as one per-die-supply
+/// sensor lane ([`VariationSensor::sample_multi_with`]) on the study
+/// evaluator — each miss is a fresh operating point of a unique die, so
+/// the group memo is bypassed as in the settle lanes — and each die
+/// finishes its cycle. Die by die this is [`score_faulted_die`].
+///
+/// [`VariationSensor::sample_multi_with`]: subvt_tdc::sensor::VariationSensor::sample_multi_with
+#[derive(Default)]
+pub(crate) struct FaultLanes {
+    schedules: Vec<FaultSchedule>,
+    walks: Vec<WalkState>,
+    // One round's capture misses: die index, rail, mismatch, sample.
+    miss_idx: Vec<usize>,
+    miss_v: Vec<Volts>,
+    miss_mm: Vec<GateMismatch>,
+    miss_out: Vec<Result<QuantizerWord, SenseError>>,
+    // Final check: each die's verdict, and the dies that left their
+    // clean settled word, re-scored by word.
+    adaptive: Vec<(bool, Joules)>,
+    moved: Vec<usize>,
+    moved_words: Vec<VoltageWord>,
+    moved_mm: Vec<GateMismatch>,
+    moved_pass: Vec<bool>,
+    moved_energy: Vec<Joules>,
+    lanes: WordLanes,
+}
+
+impl FaultLanes {
+    /// Walks every die of `batch` under `plan` and folds the outcomes
+    /// into `acc` in die order. `batch` must hold the group's clean
+    /// lanes (settled words, fixed/adaptive/dithered verdicts) scored
+    /// on `ctx` with the group memo `cached`; `fault_seeds[k]` is die
+    /// `k`'s fault-stream seed and `droops` the cell's
+    /// [`fault_droops`].
+    ///
+    /// The final spec check reuses the clean lanes: a die that ends on
+    /// its clean settled word — the common case — takes the adaptive
+    /// verdict and energy `batch` already holds (the identical
+    /// `passes(word, mismatch)` quantity), and the rest are scored as
+    /// one lane per final word.
+    #[allow(clippy::too_many_arguments)] // crate-internal fold kernel
+    pub(crate) fn score(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        cached: &dyn DeviceEval,
+        plan: FaultPlan,
+        droops: (Volts, Volts),
+        batch: &DieBatch,
+        fault_seeds: &[u64],
+        acc: &mut FaultStudySummary,
+    ) {
+        let n = batch.len();
+        self.schedules.clear();
+        self.schedules.extend(
+            fault_seeds[..n]
+                .iter()
+                .map(|&seed| FaultSchedule::new(plan, StdRng::seed_from_u64(seed))),
+        );
+        if self.walks.len() < n {
+            self.walks.resize_with(n, || WalkState::new(ctx, plan));
+        }
+        for walk in &mut self.walks[..n] {
+            walk.reset(ctx, plan);
+        }
+
+        let eval = ctx.eval.as_ref();
+        for _ in 0..FAULT_CYCLES {
+            self.miss_idx.clear();
+            self.miss_v.clear();
+            self.miss_mm.clear();
+            for (k, (walk, schedule)) in self.walks[..n]
+                .iter_mut()
+                .zip(&mut self.schedules)
+                .enumerate()
+            {
+                match walk.start(schedule.draw(), droops) {
+                    Some(v_rail) => {
+                        self.miss_idx.push(k);
+                        self.miss_v.push(v_rail);
+                        self.miss_mm.push(batch.mismatch(k));
+                    }
+                    None => walk.finish(ctx, None),
+                }
+            }
+            if self.miss_idx.is_empty() {
+                continue;
+            }
+            self.miss_out.clear();
+            self.miss_out.resize(
+                self.miss_idx.len(),
+                Err(SenseError::Unreliable(EncodeError::Empty)),
+            );
+            if let Err(band) = ctx.sensor.sample_multi_with(
+                eval,
+                ctx.design_word,
+                &self.miss_v,
+                ctx.env,
+                &self.miss_mm,
+                &mut self.miss_out,
+            ) {
+                // Die-independent: every miss of the round reads the
+                // band error, as each scalar sample would.
+                self.miss_out.fill(Err(band));
+            }
+            for (&k, sample) in self.miss_idx.iter().zip(&self.miss_out) {
+                self.walks[k].finish(ctx, Some(sample));
+            }
+        }
+
+        self.adaptive.clear();
+        self.moved.clear();
+        self.moved_words.clear();
+        self.moved_mm.clear();
+        for (k, walk) in self.walks[..n].iter().enumerate() {
+            let clean = batch.outcome(k);
+            let word = walk.score_word();
+            if word == clean.adaptive_word {
+                self.adaptive
+                    .push((clean.adaptive_passes, clean.adaptive_energy));
+            } else {
+                self.adaptive.push((false, Joules(0.0)));
+                self.moved.push(k);
+                self.moved_words.push(word);
+                self.moved_mm.push(batch.mismatch(k));
+            }
+        }
+        self.moved_pass.clear();
+        self.moved_pass.resize(self.moved.len(), false);
+        self.moved_energy.clear();
+        self.moved_energy.resize(self.moved.len(), Joules(0.0));
+        self.lanes.score(
+            ctx,
+            cached,
+            &self.moved_words,
+            &self.moved_mm,
+            &mut self.moved_pass,
+            &mut self.moved_energy,
+        );
+        for (j, &k) in self.moved.iter().enumerate() {
+            self.adaptive[k] = (self.moved_pass[j], self.moved_energy[j]);
+        }
+
+        for (k, walk) in self.walks[..n].iter().enumerate() {
+            let out = batch.outcome(k);
+            let clean = CleanDie {
+                corner_units: out.corner_units,
+                fixed_passes: out.fixed_passes,
+                clean_word: out.adaptive_word,
+                dithered_passes: out.dithered_passes,
+            };
+            acc.absorb(&walk.outcome(&clean, self.adaptive[k]));
+        }
     }
 }
 

@@ -17,7 +17,9 @@
 //! * **once per (environment × supply) group** — the fixed lane, the
 //!   adaptive cohort lanes and the dithered spec check;
 //! * **once per fault cell** — only the cycle-by-cycle faulted walk
-//!   and the final scoring, over the shared clean pieces.
+//!   (the cell's dies in lockstep rounds, each round's captures as one
+//!   sensor lane) and the final scoring, which reuses the shared clean
+//!   verdict of every die that ends on its clean settled word.
 //!
 //! This is the one scoring engine: a standalone
 //! [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`] runs as a
@@ -53,7 +55,7 @@ use subvt_faults::FaultPlan;
 use subvt_rng::{Rng, StdRng};
 
 use crate::batch::{ChunkSeeds, DieBatch};
-use crate::fault_study::{fault_droops, faulted_walk, CleanDie, FaultStudySummary};
+use crate::fault_study::{fault_droops, FaultLanes, FaultStudySummary};
 use crate::profile::{record_phase, record_sub_batch, Phase};
 use crate::study::{StudyConfig, StudyError, SupplyBackendKind};
 use crate::yield_study::{StudyContext, SupplySim, YieldSummary};
@@ -227,6 +229,7 @@ fn fold_matrix_chunk(
     let mut scratch = DieBatch::with_capacity(batch.min(seeds.len().max(1)));
     let any_faults = cells.iter().any(|c| c.faults.is_some());
     let mut fault_seeds: Vec<u64> = Vec::with_capacity(if any_faults { batch } else { 0 });
+    let mut fault_lanes = FaultLanes::default();
     let mut lo = 0;
     while lo < seeds.len() {
         let hi = (lo + batch).min(seeds.len());
@@ -262,8 +265,8 @@ fn fold_matrix_chunk(
             for group in &corner.supplies {
                 let sctx = &ctxs[group.lead];
                 // One operating-point memo per group per sub-batch:
-                // pure memoization shared by the group's lanes and
-                // fault walks.
+                // pure memoization shared by the group's energy legs
+                // (the fault walks' captures bypass it).
                 let cached = CachedEval::new(sctx.eval.as_ref());
                 let t0 = Instant::now();
                 scratch.fixed_lane(sctx, &cached);
@@ -284,26 +287,15 @@ fn fold_matrix_chunk(
                         }
                         (Some(plan), CellSummary::Faults(acc)) => {
                             let t0 = Instant::now();
-                            let seeds = fault_seeds.iter().enumerate().take(scratch.len());
-                            for (k, &fault_seed) in seeds {
-                                let out = scratch.outcome(k);
-                                let clean = CleanDie {
-                                    corner_units: out.corner_units,
-                                    mismatch: scratch.mismatch(k),
-                                    fixed_passes: out.fixed_passes,
-                                    clean_word: out.adaptive_word,
-                                    dithered_passes: out.dithered_passes,
-                                };
-                                let die = faulted_walk(
-                                    sctx,
-                                    plan,
-                                    StdRng::seed_from_u64(fault_seed),
-                                    &cached,
-                                    droops[ci],
-                                    &clean,
-                                );
-                                acc.absorb(&die);
-                            }
+                            fault_lanes.score(
+                                sctx,
+                                &cached,
+                                plan,
+                                droops[ci],
+                                &scratch,
+                                &fault_seeds,
+                                acc,
+                            );
                             record_phase(Phase::FaultWalk, t0.elapsed().as_nanos() as u64);
                         }
                         _ => unreachable!("accumulator kind follows the cell kind"),
@@ -478,13 +470,17 @@ fn open_checkpoint(
 /// (a one-cell matrix). `base`'s own supply/environment/fault axes are
 /// not read; the cells carry them. Every environment, the base's
 /// included, is checked against the model's temperature domain first,
-/// so an out-of-domain run is a typed error before any work starts.
+/// and every cell's fault plan against the probability range, so an
+/// out-of-domain run is a typed error before any work starts.
 pub(crate) fn run_cells(
     base: &StudyConfig<'_>,
     cells: &[MatrixCell],
 ) -> Result<Vec<CellSummary>, StudyError> {
     for env in std::iter::once(base.env).chain(cells.iter().map(|c| c.env)) {
         check_celsius(env.temperature.celsius()).map_err(StudyError::Environment)?;
+    }
+    for plan in cells.iter().filter_map(|c| c.faults) {
+        plan.validate().map_err(StudyError::Faults)?;
     }
     if cells.is_empty() {
         return Ok(Vec::new());
@@ -583,10 +579,40 @@ mod tests {
         assert_eq!(fused[0].as_yield().unwrap().fixed_word, scalar.fixed_word);
     }
 
+    /// Cycles in which a die's rail collapsed (effective word 0),
+    /// counted by replaying each die's walk through the one
+    /// `WalkState` machine exactly as the scalar reference drives it.
+    fn collapsed_cycles(ctx: &StudyContext<'_>, plan: FaultPlan, seeds: &[u64]) -> u64 {
+        use crate::fault_study::{WalkState, FAULT_CYCLES};
+        use subvt_faults::FaultSchedule;
+
+        let droops = fault_droops(ctx);
+        let mut collapsed = 0;
+        for &seed in seeds {
+            let mut die_rng = StdRng::seed_from_u64(seed);
+            let mismatch = ctx.variation.sample_die(&mut die_rng).mean_gate();
+            let mut schedule = FaultSchedule::new(plan, die_rng.fork("faults"));
+            let mut walk = WalkState::new(ctx, plan);
+            for _ in 0..FAULT_CYCLES {
+                let miss = walk.start(schedule.draw(), droops).map(|v| {
+                    let eval = ctx.eval.as_ref();
+                    ctx.sensor
+                        .sample_with(eval, ctx.design_word, v, ctx.env, mismatch)
+                });
+                collapsed += u64::from(walk.rail_collapsed());
+                walk.finish(ctx, miss.as_ref());
+            }
+        }
+        collapsed
+    }
+
     #[test]
     fn single_fault_cell_matches_the_scalar_reference() {
         use crate::fault_study::{score_faulted_die, FaultDieOutcome};
         use crate::yield_study::die_seeds;
+        use subvt_device::corner::ProcessCorner;
+        use subvt_device::tabulate::EvalMode;
+        use subvt_device::technology::Technology;
         use subvt_exec::par_fold_chunked;
 
         const DIES: usize = 90;
@@ -599,57 +625,96 @@ mod tests {
         let faults = fused[0].as_faults().unwrap();
         assert_eq!(faults.base.encode_state(), scalar.encode_state());
 
-        // The fault-only moments too (tracking error, recovery energy,
-        // trips, injected count): the whole fused state against per-die
-        // `score_faulted_die` outcomes folded the way
-        // `YieldReport::summarize` folds, on every supply kind, both
-        // mitigation arms and several sub-batch/worker shapes.
-        for supply in [
+        // The whole fused fault state (yield aggregate plus tracking
+        // error, recovery energy, trips and injected count) against
+        // per-die `score_faulted_die` outcomes folded the way
+        // `YieldReport::summarize` folds: every supply, both
+        // mitigation arms, a light and a heavy fault rate, three
+        // environments and both device models, all cells of a model
+        // fused into one matrix, at several sub-batch/worker shapes
+        // (one die, ragged, wider than a sense chunk, the whole
+        // population).
+        let supplies = [
             SupplyBackendKind::Ideal,
             SupplyBackendKind::Buck,
             SupplyBackendKind::Dldo,
-        ] {
-            for mitigation in [false, true] {
-                let plan = FaultPlan::uniform(0.02).with_mitigation(mitigation);
-                let base = StudyConfig::new(DIES, SEED).supply_backend(supply);
-                let sim = supply.build_sim(base.solver);
-                let ctx = StudyContext::new(
-                    base.eval.clone(),
-                    base.load.as_dyn(),
-                    base.env,
-                    &base.variation,
-                    base.spec,
-                    base.fixed_word,
-                    base.design_word,
-                    &sim,
-                );
-                let seeds = die_seeds(&mut StdRng::seed_from_u64(SEED), DIES);
-                let outcomes: Vec<FaultDieOutcome> = seeds
-                    .iter()
-                    .map(|&s| score_faulted_die(&ctx, plan, StdRng::seed_from_u64(s)))
-                    .collect();
-                let mut reference = par_fold_chunked(
-                    &ExecConfig::serial(),
-                    DIES,
-                    FaultStudySummary::empty,
-                    |acc, i| acc.absorb(&outcomes[i]),
-                    FaultStudySummary::merge,
-                );
-                reference.base.fixed_word = base.fixed_word;
-                assert!(reference.faults_injected > 0, "the plan must inject");
-                for (batch, jobs) in [(1, 1), (7, 3), (32, 2)] {
-                    let fused = StudyMatrix::new(
-                        StudyConfig::new(DIES, SEED)
-                            .batch(batch)
-                            .exec(ExecConfig::with_jobs(jobs)),
-                    )
-                    .cell(supply, Environment::nominal(), Some(plan))
-                    .run();
+            SupplyBackendKind::Dlr,
+        ];
+        let envs = [
+            Environment::nominal(),
+            Environment::at_corner(ProcessCorner::Ss),
+            Environment::nominal().with_celsius(125.0),
+        ];
+        let plans: Vec<FaultPlan> = [0.02, 0.3]
+            .into_iter()
+            .flat_map(|rate| [false, true].map(|on| FaultPlan::uniform(rate).with_mitigation(on)))
+            .collect();
+        let seeds = die_seeds(&mut StdRng::seed_from_u64(SEED), DIES);
+        for mode in [EvalMode::Analytic, EvalMode::Tabulated] {
+            let eval = mode.build(&Technology::st_130nm());
+            let base = || StudyConfig::new(DIES, SEED).eval(eval.clone());
+            let mut cells = Vec::new();
+            let mut references = Vec::new();
+            let (mut trips, mut collapsed) = (0u64, 0u64);
+            for env in envs {
+                for supply in supplies {
+                    let config = base();
+                    let sim = supply.build_sim(config.solver);
+                    let ctx = StudyContext::new(
+                        config.eval.clone(),
+                        config.load.as_dyn(),
+                        env,
+                        &config.variation,
+                        config.spec,
+                        config.fixed_word,
+                        config.design_word,
+                        &sim,
+                    );
+                    for &plan in &plans {
+                        let outcomes: Vec<FaultDieOutcome> = seeds
+                            .iter()
+                            .map(|&s| score_faulted_die(&ctx, plan, StdRng::seed_from_u64(s)))
+                            .collect();
+                        let mut reference = par_fold_chunked(
+                            &ExecConfig::serial(),
+                            DIES,
+                            FaultStudySummary::empty,
+                            |acc, i| acc.absorb(&outcomes[i]),
+                            FaultStudySummary::merge,
+                        );
+                        reference.base.fixed_word = config.fixed_word;
+                        if plan.tdc_rate == 0.3 {
+                            trips += reference.watchdog_trips;
+                            collapsed += collapsed_cycles(&ctx, plan, &seeds);
+                        }
+                        cells.push(MatrixCell {
+                            supply,
+                            env,
+                            faults: Some(plan),
+                        });
+                        references.push(reference);
+                    }
+                }
+            }
+            assert!(trips > 0, "{mode:?}: the heavy plan must trip the watchdog");
+            assert!(
+                collapsed > 0,
+                "{mode:?}: the heavy plan must collapse a rail (effective word 0)"
+            );
+            for (batch, jobs) in [(1, 1), (5, 3), (33, 2), (DIES, 1)] {
+                let fused = run_cells(
+                    &base().batch(batch).exec(ExecConfig::with_jobs(jobs)),
+                    &cells,
+                )
+                .unwrap();
+                for ((cell, got), want) in cells.iter().zip(&fused).zip(&references) {
                     assert_eq!(
-                        fused[0].as_faults().unwrap().encode_state(),
-                        reference.encode_state(),
-                        "{} mitigation={mitigation} batch={batch} jobs={jobs}",
-                        supply.label()
+                        got.encode_state(),
+                        want.encode_state(),
+                        "{mode:?} {} {:?} {:?} batch={batch} jobs={jobs}",
+                        cell.supply.label(),
+                        cell.env,
+                        cell.faults
                     );
                 }
             }

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use subvt_dcdc::converter::ConverterParams;
 use subvt_dcdc::SolverMode;
-use subvt_device::mosfet::{Environment, TemperatureRangeError};
+use subvt_device::mosfet::{check_celsius, Environment, TemperatureRangeError};
 use subvt_device::tabulate::{EvalMode, SharedEval};
 use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Joules};
@@ -43,7 +43,7 @@ use subvt_loads::ring_oscillator::RingOscillator;
 use subvt_regulators::{DigitalLdoBackend, DiscreteTimeLinearBackend};
 use subvt_rng::{Rng, StdRng};
 
-pub use subvt_faults::FaultPlan;
+pub use subvt_faults::{FaultPlan, FaultRateError};
 
 use crate::fault_study::{score_faulted_die, FaultStudySummary};
 use crate::matrix::{run_cells, CellSummary, MatrixCell};
@@ -147,6 +147,9 @@ pub enum StudyError {
     /// A study or cell temperature lies outside the device model's
     /// [`subvt_device::SUPPORTED_CELSIUS`] domain (or is not a number).
     Environment(TemperatureRangeError),
+    /// A cell's (or the study's) [`FaultPlan`] carries a rate that is
+    /// not a probability in `[0, 1]`.
+    Faults(FaultRateError),
 }
 
 impl StudyError {
@@ -164,6 +167,7 @@ impl std::fmt::Display for StudyError {
             StudyError::Cancelled => write!(f, "study cancelled"),
             StudyError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             StudyError::Environment(e) => write!(f, "environment: {e}"),
+            StudyError::Faults(e) => write!(f, "fault plan: {e}"),
         }
     }
 }
@@ -174,6 +178,7 @@ impl std::error::Error for StudyError {
             StudyError::Cancelled => None,
             StudyError::Checkpoint(e) => Some(e),
             StudyError::Environment(e) => Some(e),
+            StudyError::Faults(e) => Some(e),
         }
     }
 }
@@ -377,7 +382,23 @@ impl<'a> StudyConfig<'a> {
     /// `StudyContext::score_die` (or the faulted walk), independently
     /// of the batched engine behind the summary terminals, which the
     /// equivalence suites compare against it.
+    ///
+    /// # Panics
+    ///
+    /// Panics before any work starts if the study temperature lies
+    /// outside the device model's domain, with the
+    /// [`TemperatureRangeError`] text ("temperature … °C is outside the
+    /// supported range -55..=150 °C"), or if an armed fault plan
+    /// carries a rate that is not a probability, with the
+    /// [`FaultRateError`] text. The `try_*` terminals return both as
+    /// [`StudyError`] values.
     pub fn run(&self) -> YieldReport {
+        if let Err(e) = check_celsius(self.env.temperature.celsius()) {
+            panic!("{e}");
+        }
+        if let Some(Err(e)) = self.faults.map(|plan| plan.validate()) {
+            panic!("{e}");
+        }
         let supply = self.supply.build_sim(self.solver);
         let ctx = StudyContext::new(
             self.eval.clone(),
@@ -436,7 +457,9 @@ impl<'a> StudyConfig<'a> {
     /// [`StudyError::Checkpoint`] when the checkpoint file cannot be
     /// created/appended, or an existing one is damaged or belongs to a
     /// different configuration; [`StudyError::Environment`] when the
-    /// study temperature is outside the model's supported range.
+    /// study temperature is outside the model's supported range;
+    /// [`StudyError::Faults`] when an armed fault plan carries a rate
+    /// that is not a probability.
     pub fn try_run_summary(&self) -> Result<YieldSummary, StudyError> {
         Ok(match self.run_one_cell(self.faults)? {
             CellSummary::Yield(summary) => summary,

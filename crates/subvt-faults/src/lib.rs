@@ -78,7 +78,49 @@ impl FaultPlan {
     pub fn is_null(&self) -> bool {
         self.tdc_rate == 0.0 && self.dcdc_rate == 0.0 && self.ctrl_rate == 0.0
     }
+
+    /// Checks that every rate is a probability in `[0, 1]` — the rate
+    /// fields are public, so a hand-built plan can carry any `f64`.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultRateError`] naming the first offending domain (TDC,
+    /// DC-DC, controller order); NaN is rejected.
+    pub fn validate(&self) -> Result<(), FaultRateError> {
+        for (domain, rate) in [
+            ("tdc", self.tdc_rate),
+            ("dcdc", self.dcdc_rate),
+            ("ctrl", self.ctrl_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(FaultRateError { domain, rate });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// A [`FaultPlan`] rate that is not a probability in `[0, 1]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultRateError {
+    /// The fault domain of the rejected rate: `"tdc"`, `"dcdc"` or
+    /// `"ctrl"`.
+    pub domain: &'static str,
+    /// The rejected rate.
+    pub rate: f64,
+}
+
+impl std::fmt::Display for FaultRateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} fault rate {} is not a probability in [0, 1]",
+            self.domain, self.rate
+        )
+    }
+}
+
+impl std::error::Error for FaultRateError {}
 
 /// A fault in the TDC quantizer word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,13 +276,11 @@ impl FaultSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if any rate in the plan is not a probability.
+    /// Panics if any rate in the plan is not a probability (see
+    /// [`FaultPlan::validate`]).
     pub fn new(plan: FaultPlan, rng: StdRng) -> FaultSchedule {
-        for rate in [plan.tdc_rate, plan.dcdc_rate, plan.ctrl_rate] {
-            assert!(
-                (0.0..=1.0).contains(&rate),
-                "fault rate {rate} is not a probability"
-            );
+        if let Err(e) = plan.validate() {
+            panic!("{e}");
         }
         FaultSchedule { plan, rng }
     }
@@ -401,6 +441,28 @@ mod tests {
         assert!(!plan.with_mitigation(false).mitigation);
         assert!(FaultPlan::uniform(0.0).is_null());
         assert!(!plan.is_null());
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_domain() {
+        assert_eq!(FaultPlan::uniform(0.3).validate(), Ok(()));
+        let mut plan = FaultPlan::uniform(0.1);
+        plan.dcdc_rate = f64::NAN;
+        plan.ctrl_rate = 1.5;
+        let err = plan.validate().unwrap_err();
+        assert_eq!(err.domain, "dcdc");
+        assert!(err.rate.is_nan());
+        assert!(err
+            .to_string()
+            .contains("dcdc fault rate NaN is not a probability"));
+        plan.dcdc_rate = 1.0;
+        assert_eq!(
+            plan.validate(),
+            Err(FaultRateError {
+                domain: "ctrl",
+                rate: 1.5
+            })
+        );
     }
 
     #[test]

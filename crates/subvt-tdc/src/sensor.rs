@@ -255,6 +255,79 @@ impl VariationSensor {
         Ok(band.quantizer.sample(cell))
     }
 
+    /// [`VariationSensor::sample_with`] for a lane of dies sharing one
+    /// band but each at its *own* actual supply — the fault walk's
+    /// shape, where every die's capture sees its own (possibly faulted)
+    /// rail. `out[i]` is exactly what
+    /// `sample_with(eval, word, vdds[i], env, mismatches[i])` would
+    /// return; per-die below-floor supplies capture empty words, as in
+    /// the scalar path. The replica delays come from one fused
+    /// [`DeviceEval::gate_delay_pair_multi`] call per 32-die stack
+    /// chunk, so the call does not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdds`, `mismatches` and `out` lengths differ.
+    ///
+    /// # Errors
+    ///
+    /// [`SenseError::BandUnusable`] for uncalibrated bands (the band
+    /// does not depend on the die, so one `Err` covers the lane and
+    /// `out` is left untouched).
+    pub fn sample_multi_with(
+        &self,
+        eval: &dyn DeviceEval,
+        word: VoltageWord,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        out: &mut [Result<QuantizerWord, SenseError>],
+    ) -> Result<(), SenseError> {
+        assert_eq!(
+            vdds.len(),
+            mismatches.len(),
+            "supply lane length must match the mismatch lane"
+        );
+        assert_eq!(
+            vdds.len(),
+            out.len(),
+            "lane output length must match the supply lane"
+        );
+        let band = self.band(word)?;
+        match self.line.cell() {
+            CellKind::InvNor => {
+                let mut pairs = [None; LANE_CHUNK];
+                for ((vs, mms), outs) in vdds
+                    .chunks(LANE_CHUNK)
+                    .zip(mismatches.chunks(LANE_CHUNK))
+                    .zip(out.chunks_mut(LANE_CHUNK))
+                {
+                    let pairs = &mut pairs[..vs.len()];
+                    eval.gate_delay_pair_multi(
+                        (GateKind::Inverter, GateKind::Nor2),
+                        vs,
+                        env,
+                        mms,
+                        1.0,
+                        pairs,
+                    );
+                    for (o, p) in outs.iter_mut().zip(pairs.iter()) {
+                        *o = match p {
+                            Some((inv, nor)) => Ok(band.quantizer.sample(*inv + *nor)),
+                            None => Err(SenseError::Unreliable(EncodeError::Empty)),
+                        };
+                    }
+                }
+            }
+            CellKind::Inverter => {
+                for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+                    *o = self.sample_with(eval, word, *v, env, *m);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Decodes a raw quantizer word (e.g. from
     /// [`VariationSensor::sample_with`], possibly corrupted in between)
     /// into the integer variation signature, with the same
@@ -999,6 +1072,73 @@ mod tests {
                     &mut vec![Ok(0.0f64); vdds.len()]
                 )
                 .is_err());
+        }
+    }
+
+    #[test]
+    fn sample_multi_matches_scalar_sample() {
+        let (analytic, sensor) = sensor_fixture();
+        let tabulated = TabulatedEval::new(analytic.technology());
+        let evals: [&dyn DeviceEval; 2] = [&analytic, &tabulated];
+        // The same calibration driven through a plain-inverter line:
+        // the lane falls back to the scalar sample for that cell kind.
+        let mut inverter = sensor.clone();
+        inverter.line = DelayLine::new(64, CellKind::Inverter);
+        // Faulted-walk rails: word voltages, droops, a collapsed and a
+        // below-floor supply (empty capture), and the upper clamp.
+        let supplies = [
+            word_voltage(11),
+            Volts(0.01),
+            word_voltage(11) - Volts(0.0123),
+            word_voltage(19),
+            Volts(0.0),
+            word_voltage(43),
+            Volts(1.18),
+        ];
+        let draws = [0.0, 0.013, -0.021, 0.2, 0.004, -0.0087, 0.0123];
+        for eval in evals {
+            for sensor in [&sensor, &inverter] {
+                for env in [Environment::nominal(), Environment::at_celsius(125.0)] {
+                    for len in (0..=33).chain([71]) {
+                        let vdds: Vec<Volts> = supplies.iter().cycle().take(len).copied().collect();
+                        let mms: Vec<GateMismatch> = draws
+                            .iter()
+                            .cycle()
+                            .skip(len % 3)
+                            .take(len)
+                            .map(|&d| GateMismatch {
+                                nmos_dvth: Volts(d),
+                                pmos_dvth: Volts(d * 0.5),
+                            })
+                            .collect();
+                        let mut lane = vec![Err(SenseError::BandUnusable { word: 0 }); len];
+                        sensor
+                            .sample_multi_with(eval, 11, &vdds, env, &mms, &mut lane)
+                            .unwrap();
+                        for i in 0..len {
+                            let want = sensor.sample_with(eval, 11, vdds[i], env, mms[i]);
+                            // Raw words compare width and bits.
+                            assert_eq!(lane[i], want, "{:?} len {len} die {i}", sensor.line.cell());
+                        }
+                    }
+                }
+                // An unusable band errors for the whole lane, as every
+                // scalar sample would, and leaves the lane untouched.
+                let vdds = vec![word_voltage(2); 5];
+                let mms = vec![GateMismatch::NOMINAL; 5];
+                let mut lane = vec![Err(SenseError::Unreliable(EncodeError::Saturated)); 5];
+                let err = sensor
+                    .sample_multi_with(eval, 2, &vdds, Environment::nominal(), &mms, &mut lane)
+                    .unwrap_err();
+                assert_eq!(err, SenseError::BandUnusable { word: 2 });
+                assert_eq!(
+                    sensor.sample_with(eval, 2, vdds[0], Environment::nominal(), mms[0]),
+                    Err(err)
+                );
+                assert!(lane
+                    .iter()
+                    .all(|o| *o == Err(SenseError::Unreliable(EncodeError::Saturated))));
+            }
         }
     }
 

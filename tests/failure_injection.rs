@@ -235,3 +235,73 @@ fn out_of_domain_temperatures_are_typed_study_errors_not_panics() {
         assert!(StudyConfig::new(8, 1).env(env).try_run_summary().is_ok());
     }
 }
+
+#[test]
+fn invalid_fault_rates_are_typed_study_errors_not_worker_panics() {
+    use subvt_core::matrix::StudyMatrix;
+    use subvt_core::study::StudyError;
+
+    for domain in ["tdc", "dcdc", "ctrl"] {
+        for rate in [f64::NAN, -0.1, 1.5] {
+            let mut plan = FaultPlan::uniform(0.02);
+            match domain {
+                "tdc" => plan.tdc_rate = rate,
+                "dcdc" => plan.dcdc_rate = rate,
+                _ => plan.ctrl_rate = rate,
+            }
+            let is_rate_error = |r: Result<(), StudyError>| {
+                matches!(r, Err(StudyError::Faults(e))
+                    if e.domain == domain && e.rate.to_bits() == rate.to_bits())
+            };
+            let study = StudyConfig::new(40, 1).faults(plan);
+            assert!(
+                is_rate_error(study.try_run_faults().map(drop)),
+                "fault study with {domain} rate {rate}"
+            );
+            assert!(
+                is_rate_error(study.try_run_summary().map(drop)),
+                "summary with {domain} rate {rate}"
+            );
+            // One bad cell in an otherwise valid matrix fails the matrix.
+            let matrix = StudyMatrix::new(StudyConfig::new(40, 1))
+                .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
+                .cell(
+                    SupplyBackendKind::Buck,
+                    Environment::nominal(),
+                    Some(FaultPlan::uniform(0.02)),
+                )
+                .cell(SupplyBackendKind::Dldo, Environment::nominal(), Some(plan))
+                .try_run()
+                .map(drop);
+            assert!(
+                is_rate_error(matrix),
+                "matrix cell with {domain} rate {rate}"
+            );
+            let err = study.try_run_faults().unwrap_err().to_string();
+            assert!(
+                err.contains(domain) && err.contains("not a probability"),
+                "{err}"
+            );
+        }
+    }
+    // The range's edges still run.
+    let mut edge = FaultPlan::uniform(0.0);
+    edge.ctrl_rate = 1.0;
+    assert!(StudyConfig::new(8, 1).faults(edge).try_run_faults().is_ok());
+}
+
+#[test]
+#[should_panic(expected = "temperature NaN °C is outside the supported range")]
+fn scalar_reference_rejects_a_nan_temperature_at_entry() {
+    let _ = StudyConfig::new(4, 1)
+        .env(Environment::at_celsius(f64::NAN))
+        .run();
+}
+
+#[test]
+#[should_panic(expected = "temperature 400 °C is outside the supported range")]
+fn scalar_reference_rejects_400_celsius_at_entry() {
+    let _ = StudyConfig::new(4, 1)
+        .env(Environment::at_celsius(400.0))
+        .run();
+}
