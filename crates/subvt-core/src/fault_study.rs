@@ -201,7 +201,13 @@ impl FaultStudySummary {
 fn decode_dev(ctx: &StudyContext<'_>, sample: QuantizerWord) -> i16 {
     ctx.sensor
         .decode(ctx.design_word, sample)
-        .unwrap_or(-ctx.sensor.config().neighbor_range)
+        .unwrap_or(far_slow(ctx))
+}
+
+/// The deviation an undecodable or empty capture reads as: the far
+/// edge of the slow neighbourhood.
+fn far_slow(ctx: &StudyContext<'_>) -> i16 {
+    -ctx.sensor.config().neighbor_range
 }
 
 /// Majority vote over the three redundant captures; ties keep the
@@ -363,7 +369,6 @@ enum Sensing {
 #[derive(Debug)]
 pub(crate) struct WalkState {
     mitigation: bool,
-    neighbor: i16,
     /// The LUT word register.
     word: VoltageWord,
     /// Persistent reference-register upset.
@@ -396,7 +401,6 @@ impl WalkState {
     pub(crate) fn new(ctx: &StudyContext<'_>, plan: FaultPlan) -> WalkState {
         WalkState {
             mitigation: plan.mitigation,
-            neighbor: ctx.sensor.config().neighbor_range,
             word: ctx.design_word,
             ref_seu: 0,
             budget: WALK_BUDGET,
@@ -522,7 +526,7 @@ impl WalkState {
             // An empty capture classifies as far-slow (the plain
             // path's behaviour); there is no word for a TDC fault to
             // corrupt.
-            Capture::Unreliable => (-self.neighbor, false),
+            Capture::Unreliable => (far_slow(ctx), false),
             Capture::Raw { raw, dev } => {
                 let tdc = self.faults.tdc;
                 if self.mitigation {

@@ -683,6 +683,11 @@ mod tests {
                             FaultStudySummary::merge,
                         );
                         reference.base.fixed_word = config.fixed_word;
+                        assert!(
+                            reference.faults_injected > 0,
+                            "{mode:?} {} {env:?} {plan:?}: the plan must inject",
+                            supply.label()
+                        );
                         if plan.tdc_rate == 0.3 {
                             trips += reference.watchdog_trips;
                             collapsed += collapsed_cycles(&ctx, plan, &seeds);

@@ -388,15 +388,12 @@ impl<'a> StudyConfig<'a> {
     /// Panics before any work starts if the study temperature lies
     /// outside the device model's domain, with the
     /// [`TemperatureRangeError`] text ("temperature … °C is outside the
-    /// supported range -55..=150 °C"), or if an armed fault plan
-    /// carries a rate that is not a probability, with the
-    /// [`FaultRateError`] text. The `try_*` terminals return both as
-    /// [`StudyError`] values.
+    /// supported range -55..=150 °C"). An armed fault plan with a rate
+    /// that is not a probability panics when its first die's
+    /// `FaultSchedule` is built, with the [`FaultRateError`] text. The
+    /// `try_*` terminals return both as [`StudyError`] values.
     pub fn run(&self) -> YieldReport {
         if let Err(e) = check_celsius(self.env.temperature.celsius()) {
-            panic!("{e}");
-        }
-        if let Some(Err(e)) = self.faults.map(|plan| plan.validate()) {
             panic!("{e}");
         }
         let supply = self.supply.build_sim(self.solver);

@@ -283,49 +283,19 @@ impl VariationSensor {
         mismatches: &[GateMismatch],
         out: &mut [Result<QuantizerWord, SenseError>],
     ) -> Result<(), SenseError> {
-        assert_eq!(
-            vdds.len(),
-            mismatches.len(),
-            "supply lane length must match the mismatch lane"
-        );
-        assert_eq!(
-            vdds.len(),
-            out.len(),
-            "lane output length must match the supply lane"
-        );
-        let band = self.band(word)?;
-        match self.line.cell() {
-            CellKind::InvNor => {
-                let mut pairs = [None; LANE_CHUNK];
-                for ((vs, mms), outs) in vdds
-                    .chunks(LANE_CHUNK)
-                    .zip(mismatches.chunks(LANE_CHUNK))
-                    .zip(out.chunks_mut(LANE_CHUNK))
-                {
-                    let pairs = &mut pairs[..vs.len()];
-                    eval.gate_delay_pair_multi(
-                        (GateKind::Inverter, GateKind::Nor2),
-                        vs,
-                        env,
-                        mms,
-                        1.0,
-                        pairs,
-                    );
-                    for (o, p) in outs.iter_mut().zip(pairs.iter()) {
-                        *o = match p {
-                            Some((inv, nor)) => Ok(band.quantizer.sample(*inv + *nor)),
-                            None => Err(SenseError::Unreliable(EncodeError::Empty)),
-                        };
-                    }
-                }
-            }
-            CellKind::Inverter => {
-                for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
-                    *o = self.sample_with(eval, word, *v, env, *m);
-                }
-            }
-        }
-        Ok(())
+        self.pair_multi_with(
+            eval,
+            word,
+            vdds,
+            env,
+            mismatches,
+            out,
+            |band, cell| match cell {
+                Some(cell) => Ok(band.quantizer.sample(cell)),
+                None => Err(SenseError::Unreliable(EncodeError::Empty)),
+            },
+            |v, m| self.sample_with(eval, word, v, env, m),
+        )
     }
 
     /// Decodes a raw quantizer word (e.g. from
@@ -576,6 +546,44 @@ impl VariationSensor {
         mismatches: &[GateMismatch],
         out: &mut [Result<f64, SenseError>],
     ) -> Result<(), SenseError> {
+        self.pair_multi_with(
+            eval,
+            word,
+            vdds,
+            env,
+            mismatches,
+            out,
+            |band, cell| {
+                let measured = match cell {
+                    Some(cell) => Self::encode_cell(band, cell),
+                    None => Err(SenseError::Unreliable(EncodeError::Empty)),
+                };
+                self.classify_fractional(word, measured)
+            },
+            |v, m| self.sense_fractional_with(eval, word, v, env, m),
+        )
+    }
+
+    /// The per-die-supply lane shared by
+    /// [`VariationSensor::sample_multi_with`] and
+    /// [`VariationSensor::sense_fractional_multi_with`]: one fused
+    /// [`DeviceEval::gate_delay_pair_multi`] call per 32-die stack
+    /// chunk gives each die's replica cell delay (`None` below the
+    /// functional floor), which `per_die` maps against the band. Lines
+    /// of a cell kind without a fused pair fall back to `scalar` per
+    /// die.
+    #[allow(clippy::too_many_arguments)]
+    fn pair_multi_with<T>(
+        &self,
+        eval: &dyn DeviceEval,
+        word: VoltageWord,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        out: &mut [T],
+        per_die: impl Fn(&BandTable, Option<Seconds>) -> T,
+        scalar: impl Fn(Volts, GateMismatch) -> T,
+    ) -> Result<(), SenseError> {
         assert_eq!(
             vdds.len(),
             mismatches.len(),
@@ -605,17 +613,13 @@ impl VariationSensor {
                         pairs,
                     );
                     for (o, p) in outs.iter_mut().zip(pairs.iter()) {
-                        let measured = match p {
-                            Some((inv, nor)) => Self::encode_cell(band, *inv + *nor),
-                            None => Err(SenseError::Unreliable(EncodeError::Empty)),
-                        };
-                        *o = self.classify_fractional(word, measured);
+                        *o = per_die(band, p.map(|(inv, nor)| inv + nor));
                     }
                 }
             }
             CellKind::Inverter => {
                 for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
-                    *o = self.sense_fractional_with(eval, word, *v, env, *m);
+                    *o = scalar(*v, *m);
                 }
             }
         }
